@@ -1,9 +1,10 @@
-"""Benchmarks of the extensions: 3-D throughput and multi-flow sharing.
+"""Benchmarks of the 3-D extension: shaft throughput and corner costs.
 
-Not paper figures — the paper's conclusion only sketches these
-generalizations — but each assertion pins a behavior the extension
-claims: 3-D shafts pipeline like 2-D corridors, and crossing flows share
-the grid without starving each other.
+Not paper figures — the paper's conclusion only sketches this
+generalization — but each assertion pins a behavior the extension
+claims: 3-D shafts pipeline like 2-D corridors, and only corners that
+reuse an axis pay Figure 8's turn penalty. Crossing multi-commodity
+flows are benchmarked in ``bench_multiflow.py``.
 """
 
 import random
@@ -11,10 +12,7 @@ import random
 from conftest import run_once
 
 from repro.analysis.tables import format_table
-from repro.core.params import Parameters
 from repro.extensions.grid3d import Grid3D, System3D, check_safe_3d
-from repro.extensions.multiflow import Flow, MultiFlowSystem
-from repro.grid.topology import Grid
 
 ROUNDS = 1500
 
@@ -99,35 +97,3 @@ def test_3d_corner_axis_reuse(benchmark):
     assert reuse < 0.85 * straight  # the 2-D-style turn penalty
     assert distinct > 0.95 * straight  # axis-distinct corners are ~free
 
-
-def test_multiflow_crossing_shares_grid(benchmark):
-    """Two crossing flows both deliver, safely and type-exclusively."""
-
-    def run():
-        system = MultiFlowSystem(
-            grid=Grid(5),
-            params=Parameters(l=0.2, rs=0.05, v=0.2),
-            flows=[
-                Flow(name="eastbound", target=(4, 2), sources=((0, 2),)),
-                Flow(name="northbound", target=(2, 4), sources=((2, 0),)),
-            ],
-            rng=random.Random(0),
-        )
-        for _ in range(ROUNDS):
-            system.update()
-        assert system.check_safe() == []
-        assert system.check_type_exclusive() == []
-        return system.total_consumed
-
-    consumed = run_once(benchmark, run)
-    print()
-    print(
-        format_table(
-            ["flow", "consumed", "throughput"],
-            [(name, count, count / ROUNDS) for name, count in sorted(consumed.items())],
-        )
-    )
-    assert consumed["eastbound"] > 0
-    assert consumed["northbound"] > 0
-    ratio = min(consumed.values()) / max(consumed.values())
-    assert ratio > 0.5  # the shared junction does not starve either flow

@@ -70,9 +70,7 @@ def main() -> None:
             f"p95 {stats.p95:.0f}, max {stats.maximum:.0f} rounds"
         )
 
-    per_intake = {}
-    for record in simulator.tracker.consumed():
-        per_intake[record.source] = per_intake.get(record.source, 0) + 1
+    per_intake = simulator.tracker.consumed_by_source
     print("shipped per intake: ", {str(k): v for k, v in sorted(per_intake.items())})
 
 

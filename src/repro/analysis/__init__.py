@@ -6,7 +6,6 @@ from repro.analysis.ascii_plot import line_plot
 from repro.analysis.convergence import (
     ConvergenceReport,
     convergence_report,
-    meter_report,
     recommend_horizon,
 )
 from repro.analysis.tables import format_series_table, format_table
@@ -18,7 +17,6 @@ __all__ = [
     "format_series_table",
     "format_table",
     "line_plot",
-    "meter_report",
     "recommend_horizon",
     "summarize",
 ]

@@ -17,9 +17,7 @@ still drifting when the run ended.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-from repro.metrics.throughput import ThroughputMeter
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -81,13 +79,6 @@ def convergence_report(
         settled_at=last_violation + 1,
         relative_tolerance=relative_tolerance,
     )
-
-
-def meter_report(
-    meter: ThroughputMeter, relative_tolerance: float = 0.05
-) -> ConvergenceReport:
-    """Convenience wrapper over a :class:`ThroughputMeter`."""
-    return convergence_report(meter.per_round, relative_tolerance)
 
 
 def recommend_horizon(

@@ -33,6 +33,16 @@ class Entity:
     def center(self) -> Point:
         return Point(self.x, self.y)
 
+    @property
+    def cell(self) -> CellId:
+        """The cell holding the entity: the floor of its center.
+
+        Exact for every entity a cell holds: sources insert strictly
+        inside their own cell, and a transfer fires once the leading
+        edge (not the center) crosses a wall.
+        """
+        return (int(self.x), int(self.y))
+
     def footprint(self, side: float) -> Square:
         """The ``side x side`` square the entity occupies."""
         return Square(self.center, side)

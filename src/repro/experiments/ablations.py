@@ -109,8 +109,7 @@ def token_policy_ablation(
         )
         result = simulator.run()
         per_source: Dict[CellId, int] = {(0, 2): 0, (2, 0): 0}
-        for record in simulator.tracker.consumed():
-            per_source[record.source] = per_source.get(record.source, 0) + 1
+        per_source.update(simulator.tracker.consumed_by_source)
         rows.append(
             TokenAblationRow(
                 policy=name,

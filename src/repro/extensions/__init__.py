@@ -1,15 +1,10 @@
 """Extensions beyond the paper's core protocol.
 
-The conclusion sketches several generalizations; two are implemented:
-
-* :mod:`repro.extensions.grid3d` — "an extension to three dimensional
-  rectangular partitions follows in an obvious way": the full protocol
-  on an ``Nx x Ny x Nz`` lattice of unit cubes (6-neighborhoods, cube
-  entities, per-axis separation over three axes).
-* :mod:`repro.extensions.multiflow` — a first step toward "flow control
-  of multiple types of entities": several flows with distinct targets
-  sharing the grid, under a type-exclusive cell discipline that preserves
-  the movement coupling, safety, and per-flow progress.
+:mod:`repro.extensions.grid3d` — "an extension to three dimensional
+rectangular partitions follows in an obvious way": the full protocol on
+an ``Nx x Ny x Nz`` lattice of unit cubes (6-neighborhoods, cube
+entities, per-axis separation over three axes). The conclusion's other
+generalization, multiple types of entities, is :mod:`repro.multiflow`.
 """
 
 from repro.extensions.grid3d import (
@@ -20,15 +15,12 @@ from repro.extensions.grid3d import (
     System3D,
     check_safe_3d,
 )
-from repro.extensions.multiflow import Flow, MultiFlowSystem
 
 __all__ = [
     "Cell3D",
     "Direction3D",
     "Entity3D",
-    "Flow",
     "Grid3D",
-    "MultiFlowSystem",
     "System3D",
     "check_safe_3d",
 ]

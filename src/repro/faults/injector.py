@@ -4,10 +4,11 @@ The injector owns its own rng stream (independent of the system's source
 rng) so that fault randomness and arrival randomness can be seeded and
 varied independently across experiment repetitions.
 
-The per-round decision history is bounded by default (a long soak run —
-Figure 9 uses K = 20000, and the ROADMAP points much further — must not
-grow memory linearly with rounds); pass ``history_limit=None`` to keep
-every decision. Aggregate counters (``total_failures`` /
+The per-round decision history is a shallow recent window (a long run —
+Figure 9 uses K = 20000, and ``repro serve`` runs indefinitely — must not
+grow memory linearly with rounds; traces and the serve event stream
+carry the full fault record); pass ``history_limit=None`` to keep every
+decision. Aggregate counters (``total_failures`` /
 ``total_recoveries``) and ``last_disruption_round`` are exact regardless
 of the cap.
 """
@@ -22,10 +23,8 @@ from repro.core.system import System
 from repro.faults.model import FaultDecision, FaultModel, NoFaults
 from repro.grid.topology import CellId
 
-#: Default cap on retained per-round decisions. Mirrored by
-#: :class:`repro.netsim.network.NetworkStats` for its per-delivery
-#: history, so both soak-sensitive ring buffers share one convention.
-DEFAULT_HISTORY_LIMIT = 10_000
+#: Default cap on retained per-round decisions.
+DEFAULT_HISTORY_LIMIT = 256
 
 
 class FaultInjector:

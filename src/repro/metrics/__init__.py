@@ -9,25 +9,15 @@ metrics the reproduction adds for diagnosis.
 from repro.metrics.latency import LatencyStats, latency_stats, percentile
 from repro.metrics.occupancy import OccupancyProbe, blocked_cell_count
 from repro.metrics.series import RollingMean, TimeSeries
-from repro.metrics.streaming import (
-    StreamingEntityTracker,
-    StreamingOccupancyProbe,
-    StreamingThroughputMeter,
-    install_streaming_meters,
-)
 from repro.metrics.throughput import ThroughputMeter
 
 __all__ = [
     "LatencyStats",
     "OccupancyProbe",
     "RollingMean",
-    "StreamingEntityTracker",
-    "StreamingOccupancyProbe",
-    "StreamingThroughputMeter",
     "ThroughputMeter",
     "TimeSeries",
     "blocked_cell_count",
-    "install_streaming_meters",
     "latency_stats",
     "percentile",
 ]

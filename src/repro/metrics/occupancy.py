@@ -3,13 +3,14 @@
 The paper explains its throughput curves through *blocking*: a low
 velocity "causes the predecessor cell to be blocked more frequently", and
 saturation happens "when there is roughly only one entity in each cell".
-These probes expose exactly those quantities.
+These probes expose exactly those quantities, as running means (no
+per-round series, so memory stays flat over any horizon).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.core.system import RoundReport, System
 from repro.grid.topology import CellId
@@ -22,46 +23,42 @@ def blocked_cell_count(report: RoundReport) -> int:
 
 @dataclass
 class OccupancyProbe:
-    """Per-round occupancy/blocking time series over a run."""
+    """Running occupancy/blocking sums over a run."""
 
-    entities_per_round: List[int] = field(default_factory=list)
-    blocked_per_round: List[int] = field(default_factory=list)
-    moved_per_round: List[int] = field(default_factory=list)
-    occupied_cells_per_round: List[int] = field(default_factory=list)
+    rounds: int = field(default=0, init=False)
+    _entities_sum: int = field(default=0, init=False)
+    _blocked_sum: int = field(default=0, init=False)
+    _ratio_sum: float = field(default=0.0, init=False)
+    _ratio_rounds: int = field(default=0, init=False)
 
     def observe(self, system: System, report: RoundReport) -> None:
         """Record one round's occupancy/blocking sample."""
-        self.entities_per_round.append(system.entity_count())
-        self.blocked_per_round.append(blocked_cell_count(report))
-        self.moved_per_round.append(len(report.move.moved_cells))
-        self.occupied_cells_per_round.append(
-            sum(1 for state in system.cells.values() if state.members)
-        )
+        entities = system.entity_count()
+        occupied = sum(1 for state in system.cells.values() if state.members)
+        self.rounds += 1
+        self._entities_sum += entities
+        self._blocked_sum += blocked_cell_count(report)
+        if occupied > 0:
+            self._ratio_sum += entities / occupied
+            self._ratio_rounds += 1
 
     def mean_entities(self) -> float:
         """Mean in-flight population over the observed rounds."""
-        if not self.entities_per_round:
+        if self.rounds == 0:
             return 0.0
-        return sum(self.entities_per_round) / len(self.entities_per_round)
+        return self._entities_sum / self.rounds
 
     def mean_blocked(self) -> float:
         """Mean number of blocked (token-held, no-gap) cells per round."""
-        if not self.blocked_per_round:
+        if self.rounds == 0:
             return 0.0
-        return sum(self.blocked_per_round) / len(self.blocked_per_round)
+        return self._blocked_sum / self.rounds
 
     def mean_entities_per_occupied_cell(self) -> float:
         """The paper's saturation indicator (~1 at the saturation plateau)."""
-        pairs = [
-            entities / occupied
-            for entities, occupied in zip(
-                self.entities_per_round, self.occupied_cells_per_round
-            )
-            if occupied > 0
-        ]
-        if not pairs:
+        if self._ratio_rounds == 0:
             return 0.0
-        return sum(pairs) / len(pairs)
+        return self._ratio_sum / self._ratio_rounds
 
 
 def occupancy_histogram(system: System) -> Dict[CellId, int]:

@@ -5,65 +5,45 @@ rounds, divided by ``K``. The *average throughput* is its large-``K``
 limit; experiments estimate it with the full-horizon ratio, optionally
 discarding a warm-up prefix (the paper starts from an empty grid, so the
 pipeline-fill transient depresses small-``K`` estimates).
+
+The meter keeps running totals, not the per-round series, so its memory
+stays flat over an arbitrarily long run (``repro serve``, the soak).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
 
 
 @dataclass
 class ThroughputMeter:
-    """Accumulates per-round consumption counts."""
+    """Accumulates consumption totals, with the warm-up fixed up front.
 
-    per_round: List[int] = field(default_factory=list)
+    ``warmup`` rounds are counted in :attr:`total_consumed` but left out
+    of :meth:`average_throughput`.
+    """
+
+    warmup: int = 0
+    rounds: int = field(default=0, init=False)
+    total_consumed: int = field(default=0, init=False)
+    _warmup_total: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        if self.warmup < 0:
+            raise ValueError(f"warmup must be nonnegative, got {self.warmup}")
 
     def observe(self, consumed_count: int) -> None:
         """Record the entities consumed in one round."""
         if consumed_count < 0:
             raise ValueError(f"consumed count cannot be negative: {consumed_count}")
-        self.per_round.append(consumed_count)
+        if self.rounds < self.warmup:
+            self._warmup_total += consumed_count
+        self.rounds += 1
+        self.total_consumed += consumed_count
 
-    @property
-    def rounds(self) -> int:
-        return len(self.per_round)
-
-    @property
-    def total_consumed(self) -> int:
-        return sum(self.per_round)
-
-    def k_round_throughput(self, k: int) -> float:
-        """Throughput over the first ``k`` recorded rounds."""
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if k > self.rounds:
-            raise ValueError(f"only {self.rounds} rounds recorded, asked for {k}")
-        return sum(self.per_round[:k]) / k
-
-    def average_throughput(self, warmup: int = 0) -> float:
-        """Throughput over all recorded rounds after dropping ``warmup``."""
-        if warmup < 0:
-            raise ValueError(f"warmup must be nonnegative, got {warmup}")
-        effective = self.per_round[warmup:]
-        if not effective:
+    def average_throughput(self) -> float:
+        """Throughput over the recorded rounds after the warm-up."""
+        effective_rounds = self.rounds - min(self.warmup, self.rounds)
+        if effective_rounds == 0:
             return 0.0
-        return sum(effective) / len(effective)
-
-    def cumulative_series(self) -> List[float]:
-        """``k``-round throughput for every prefix ``k`` (convergence plots)."""
-        series: List[float] = []
-        total = 0
-        for k, count in enumerate(self.per_round, start=1):
-            total += count
-            series.append(total / k)
-        return series
-
-    def windowed_series(self, window: int) -> List[float]:
-        """Non-overlapping ``window``-round throughputs (trend inspection)."""
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        return [
-            sum(self.per_round[start : start + window]) / window
-            for start in range(0, self.rounds - window + 1, window)
-        ]
+        return (self.total_consumed - self._warmup_total) / effective_rounds

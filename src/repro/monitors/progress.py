@@ -10,6 +10,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -75,43 +76,35 @@ def routing_stabilization_round(
 
 @dataclass
 class EntityRecord:
-    """Lifecycle of one entity as observed by the tracker."""
+    """Lifecycle of one in-flight entity as observed by the tracker."""
 
     uid: int
     birth_round: int
     source: CellId
-    consumed_round: Optional[int] = None
     hops: int = 0
-
-    @property
-    def in_flight(self) -> bool:
-        return self.consumed_round is None
-
-    @property
-    def latency(self) -> Optional[int]:
-        """Rounds from production to consumption (None while in flight)."""
-        if self.consumed_round is None:
-            return None
-        return self.consumed_round - self.birth_round
 
 
 @dataclass
 class EntityTracker:
-    """Feed with each round's report; aggregates per-entity lifecycles."""
+    """Feed with each round's report; aggregates per-entity lifecycles.
+
+    Only in-flight entities keep an :class:`EntityRecord`. When an
+    entity is consumed, its transit latency is folded into a
+    value-count histogram, its source into a per-source counter, and
+    the record is dropped, so memory is bounded by the live population
+    (transit latencies concentrate on a narrow integer range, which
+    keeps the histogram small).
+    """
 
     records: Dict[int, EntityRecord] = field(default_factory=dict)
+    latency_counts: Counter = field(default_factory=Counter, init=False)
+    consumed_by_source: Counter = field(default_factory=Counter, init=False)
 
-    def observe(self, report: RoundReport, system: System) -> None:
+    def observe(self, report: RoundReport) -> None:
         """Ingest one round's report (births, hops, consumptions)."""
         for entity in report.produced:
-            # Produced entities are placed in their source cell this round.
-            cid = next(
-                cid
-                for cid, state in system.cells.items()
-                if entity.uid in state.members
-            )
             self.records[entity.uid] = EntityRecord(
-                uid=entity.uid, birth_round=entity.birth_round, source=cid
+                uid=entity.uid, birth_round=entity.birth_round, source=entity.cell
             )
         self._observe_moves(report.move, report.round_index)
 
@@ -126,23 +119,18 @@ class EntityTracker:
                 self.records[transfer.uid] = record
             record.hops += 1
             if transfer.consumed:
-                record.consumed_round = round_index
-
-    def consumed(self) -> List[EntityRecord]:
-        """Records of entities that reached the target."""
-        return [r for r in self.records.values() if not r.in_flight]
-
-    def in_flight(self) -> List[EntityRecord]:
-        """Records of entities still in the system."""
-        return [r for r in self.records.values() if r.in_flight]
+                self.latency_counts[round_index - record.birth_round] += 1
+                self.consumed_by_source[record.source] += 1
+                del self.records[transfer.uid]
 
     def latencies(self) -> List[int]:
-        """Transit latencies of all consumed entities."""
-        return sorted(
-            r.latency for r in self.records.values() if r.latency is not None
-        )
+        """Transit latencies of all consumed entities (sorted, exact)."""
+        out: List[int] = []
+        for value in sorted(self.latency_counts):
+            out.extend([value] * self.latency_counts[value])
+        return out
 
     def oldest_in_flight_age(self, current_round: int) -> Optional[int]:
         """Age (rounds) of the oldest in-flight entity, or None."""
-        ages = [current_round - r.birth_round for r in self.in_flight()]
+        ages = [current_round - r.birth_round for r in self.records.values()]
         return max(ages) if ages else None

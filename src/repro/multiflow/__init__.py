@@ -4,9 +4,7 @@ The authors' journal extension (*Safe and Stabilizing Distributed
 Multi-Path Cellular Flows*, arXiv:1209.2058) generalizes the ICDCS'10
 protocol from one flow to many concurrent (source, target) *commodity*
 pairs with per-commodity routing tables and multi-path route
-diversity. This package is that generalization promoted to a real
-subsystem — the thin sketch it grew out of remains at
-``repro.extensions.multiflow``.
+diversity. This package is that generalization.
 
 Layout:
 

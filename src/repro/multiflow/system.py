@@ -34,10 +34,10 @@ observability layer, and the canonical-state differential harness all
 apply unchanged; per-commodity state lives in the ``dists`` /
 ``nexts`` dict extensions of :class:`MultiCommodityCellState`.
 
-Known limitation, inherited from the extension sketch and documented
-in ``docs/multiflow.md``: two commodities forced head-to-head through
-a shared corridor can gridlock; :meth:`MultiCommoditySystem.
-detect_waiting_cycles` detects the condition.
+Known limitation, documented in ``docs/multiflow.md``: commodities
+forced head-to-head through shared corridors can gridlock;
+:meth:`MultiCommoditySystem.detect_waiting_cycles` detects the
+condition.
 """
 
 from __future__ import annotations

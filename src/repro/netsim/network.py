@@ -20,10 +20,9 @@ from typing import Deque, Dict, Iterable, List, Optional, Set, Type
 from repro.grid.topology import CellId
 from repro.netsim.message import Message
 
-#: Default cap on the retained per-delivery history — the same
-#: convention as ``repro.faults.injector.DEFAULT_HISTORY_LIMIT``, so a
-#: long soak run cannot grow memory linearly with rounds. ``None`` opts
-#: out (unbounded).
+#: Default cap on the retained per-delivery history, so a long soak
+#: run cannot grow memory linearly with rounds. ``None`` opts out
+#: (unbounded).
 DEFAULT_HISTORY_LIMIT = 10_000
 
 

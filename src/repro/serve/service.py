@@ -27,11 +27,9 @@ byte-identical output from two runs of the same command schedule.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.metrics.streaming import install_streaming_meters
 from repro.obs.events import TRACE_SCHEMA
 from repro.obs.instrument import ObservabilityConfig
 from repro.obs.tracer import CallbackSink
@@ -44,11 +42,6 @@ from repro.serve.commands import (
 from repro.serve.sinks import ServeSink
 from repro.sim.config import SimulationConfig
 from repro.sim.stepper import ResumableStepper
-
-#: Fault-decision history window kept by a serving simulator. Batch
-#: runs keep 10k decisions for offline diagnosis; a service keeps a
-#: shallow recent window — the full fault record is in the event stream.
-SERVE_FAULT_HISTORY_LIMIT = 256
 
 #: The service-event taxonomy (beyond the protocol events of
 #: :mod:`repro.obs.events`): type name -> one-line meaning. Everything
@@ -130,18 +123,6 @@ class ServeService:
             config, observability=observability, engine=engine
         )
         simulator = self.stepper.simulator
-        # A service has no batch horizon: swap the per-round list
-        # accumulators for exact streaming aggregates so steady-state
-        # memory stays flat over an indefinite run (the soak's bounded-
-        # memory oracle holds the service to this).
-        install_streaming_meters(simulator)
-        # The injector's decision history defaults to a 10k-deep deque —
-        # sized for batch horizons, linear growth for most of a long
-        # soak. The service streams fault events to the sink anyway, so
-        # a shallow window is all diagnosis needs.
-        simulator.injector.history = deque(
-            simulator.injector.history, maxlen=SERVE_FAULT_HISTORY_LIMIT
-        )
         self.metrics = simulator.obs.registry
         self.buffer.metrics = self.metrics
         # Live verdicts: never die on a violation, stream it instead.

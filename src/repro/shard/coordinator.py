@@ -363,11 +363,7 @@ class ShardCoordinator:
             for t in move_report.transfers
             if not t.consumed
         ]
-        # A produced entity's cell is the floor of its center (sources
-        # insert strictly inside their own unit cell).
-        produced_wire = [
-            ((int(e.x), int(e.y)), entity_to_wire(e)) for e in produced
-        ]
+        produced_wire = [(e.cell, entity_to_wire(e)) for e in produced]
 
         def payload(handle: _ShardHandle) -> Dict[str, Any]:
             inside = handle.district_set

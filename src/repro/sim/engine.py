@@ -13,7 +13,7 @@ token, no signal, and an empty ``NEPrev``. The **incremental engine**
 exploits this with per-phase dirty sets, so quiescent regions of the grid
 cost zero per round — the performance lever for large grids — while
 producing *byte-identical* state, reports, metrics, and event traces.
-``tests/differential.py`` is the lockstep harness that proves the
+:mod:`repro.testing.differential` is the lockstep harness that proves the
 equivalence on randomized fault-injected configs; the dirty-set rules are
 documented in ``docs/performance.md``.
 
@@ -347,14 +347,9 @@ class IncrementalEngine(RoundEngine):
         return report
 
     def _mark_production(self, produced) -> None:
-        """Fresh entities change their source cells' observed emptiness.
-
-        Sources insert strictly inside their own unit cell (centers sit
-        ``l/2 > 0`` off every wall), so the producing cell is exactly the
-        floor of the entity's center.
-        """
+        """Fresh entities change their source cells' observed emptiness."""
         for entity in produced:
-            self._mark_membership_change((int(entity.x), int(entity.y)))
+            self._mark_membership_change(entity.cell)
 
 
 # Imported here (not at the top) because the vectorized and sharded

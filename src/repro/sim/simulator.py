@@ -11,7 +11,6 @@ and returns a :class:`~repro.sim.results.SimulationResult`.
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from repro.core.params import Parameters
@@ -70,7 +69,7 @@ class Simulator:
         if self.monitors is not None:
             self.monitors.attach(system)
         self.config = config
-        self.meter = ThroughputMeter()
+        self.meter = ThroughputMeter(warmup=warmup)
         self.occupancy = OccupancyProbe()
         self.tracker = EntityTracker()
         # Install after monitors.attach so their observer is chained (its
@@ -120,7 +119,7 @@ class Simulator:
             self.monitors.after_round(self.system, report)
         self.meter.observe(report.consumed_count)
         self.occupancy.observe(self.system, report)
-        self.tracker.observe(report, self.system)
+        self.tracker.observe(report)
         if self.obs is not None:
             self.obs.observe_round(self.system, report, decision)
         self.profiler.end_round()
@@ -166,7 +165,7 @@ class Simulator:
             rounds=self.meter.rounds,
             produced=self.system.total_produced,
             consumed=self.meter.total_consumed,
-            throughput=self.meter.average_throughput(warmup=self.warmup),
+            throughput=self.meter.average_throughput(),
             in_flight=self.system.entity_count(),
             mean_latency=mean_latency,
             p95_latency=p95_latency,
@@ -244,63 +243,39 @@ def build_simulation(
             token_policy=token_policy,
             rng=source_rng,
         )
-        fault_model: FaultModel
-        if config.fault.enabled:
-            # Multi-commodity target protection shields every
-            # commodity's target, not a single tid.
-            immune = (
-                frozenset(system.table.targets())
-                if config.fault.protect_target
-                else frozenset()
-            )
-            fault_model = BernoulliFaultModel(
-                pf=config.fault.pf, pr=config.fault.pr, immune=immune
+        targets = system.table.targets()
+        monitor_suite = MultiflowMonitorSuite
+    else:
+        if config.path is not None:
+            system = build_corridor_system(
+                grid,
+                params,
+                list(config.path),
+                source_policy=_make_source_policy(config.source_policy),
+                rng=source_rng,
+                fail_complement=config.fail_complement,
+                token_policy=token_policy,
             )
         else:
-            fault_model = NoFaults()
-        injector = FaultInjector(
-            fault_model, rng=derive_rng(config.seed, "faults")
-        )
-        monitors = MultiflowMonitorSuite() if config.monitors else None
-        return Simulator(
-            system=system,
-            rounds=config.rounds,
-            injector=injector,
-            monitors=monitors,
-            warmup=config.warmup,
-            observability=observability,
-            engine=engine,
-            config=config,
-        )
-
-    if config.path is not None:
-        system = build_corridor_system(
-            grid,
-            params,
-            list(config.path),
-            source_policy=_make_source_policy(config.source_policy),
-            rng=source_rng,
-            fail_complement=config.fail_complement,
-            token_policy=token_policy,
-        )
-    else:
-        assert config.tid is not None
-        sources = {
-            cid: _make_source_policy(config.source_policy)
-            for cid in config.sources
-        }
-        system = System(
-            grid=grid,
-            params=params,
-            tid=config.tid,
-            sources=sources,
-            rng=source_rng,
-            token_policy=token_policy,
-        )
+            assert config.tid is not None
+            sources = {
+                cid: _make_source_policy(config.source_policy)
+                for cid in config.sources
+            }
+            system = System(
+                grid=grid,
+                params=params,
+                tid=config.tid,
+                sources=sources,
+                rng=source_rng,
+                token_policy=token_policy,
+            )
+        targets = (system.tid,)
+        monitor_suite = MonitorSuite
 
     fault_model: FaultModel
     if config.fault.enabled:
-        immune = frozenset({system.tid}) if config.fault.protect_target else frozenset()
+        immune = frozenset(targets) if config.fault.protect_target else frozenset()
         fault_model = BernoulliFaultModel(
             pf=config.fault.pf, pr=config.fault.pr, immune=immune
         )
@@ -309,7 +284,8 @@ def build_simulation(
 
     relocations = ()
     if config.adversary is not None:
-        # Compile the named campaign into scripted events + relocations.
+        # Compile the named campaign into scripted events + relocations
+        # (single-flow only; config validation rejects it otherwise).
         # Scripted events layer on top of any Bernoulli churn (the
         # scripted model is consulted first so the Bernoulli rng stream
         # is unperturbed by the composition).
@@ -331,13 +307,11 @@ def build_simulation(
         rng=derive_rng(config.seed, "faults"),
         relocations=relocations,
     )
-
-    monitors = MonitorSuite() if config.monitors else None
     return Simulator(
         system=system,
         rounds=config.rounds,
         injector=injector,
-        monitors=monitors,
+        monitors=monitor_suite() if config.monitors else None,
         warmup=config.warmup,
         config=config,
         observability=observability,

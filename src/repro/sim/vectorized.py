@@ -223,9 +223,8 @@ class VectorizedEngine(RoundEngine):
         return report
 
     def _note_production(self, produced) -> None:
-        """Fresh entities land strictly inside their source cell (centers
-        sit ``l/2 > 0`` off every wall): count them at the floor cell."""
+        """Count fresh entities at their source cells."""
         member_count = self.arrays.member_count
-        width = self.arrays.width
+        flat = self.arrays.flat
         for entity in produced:
-            member_count[int(entity.y) * width + int(entity.x)] += 1
+            member_count[flat(entity.cell)] += 1

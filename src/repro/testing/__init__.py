@@ -3,9 +3,7 @@
 The lockstep differential harness started life as test-support code
 under ``tests/``; the fuzzing subsystem (:mod:`repro.fuzz`) turned it
 into a library: its oracles run the same harness over generated
-scenarios, so the machinery lives here where both can import it. The
-``tests/differential.py`` shim re-exports everything for backwards
-compatibility.
+scenarios, so the machinery lives here where both can import it.
 """
 
 from repro.testing.differential import (

@@ -25,8 +25,7 @@ with a ``trace_path`` is supplied; callers compare them byte-for-byte.
 configurations so the test matrix in
 ``tests/test_engine_differential.py`` can sweep wide without
 hand-written scenarios. This is library code (it also powers the
-``differential`` fuzz oracle in :mod:`repro.fuzz.oracles`); the old
-``tests/differential.py`` location remains as a re-export shim.
+``differential`` fuzz oracle in :mod:`repro.fuzz.oracles`).
 """
 
 from __future__ import annotations

@@ -3,16 +3,11 @@ paper's choice of K."""
 
 import pytest
 
-from repro.analysis.convergence import (
-    convergence_report,
-    meter_report,
-    recommend_horizon,
-)
+from repro.analysis.convergence import convergence_report, recommend_horizon
 from repro.core.params import Parameters
 from repro.core.system import build_corridor_system
 from repro.grid.paths import straight_path
 from repro.grid.topology import Direction, Grid
-from repro.metrics.throughput import ThroughputMeter
 
 
 class TestConvergenceReport:
@@ -53,12 +48,6 @@ class TestConvergenceReport:
         assert report.margin < 0.2
         assert not report.converged()
 
-    def test_meter_wrapper(self):
-        meter = ThroughputMeter()
-        for value in [1, 1, 1, 1]:
-            meter.observe(value)
-        assert meter_report(meter).converged()
-
 
 class TestRecommendHorizon:
     def test_steady_recommends_minimum(self):
@@ -81,9 +70,7 @@ class TestPaperHorizonAudit:
         params = Parameters(l=0.25, rs=0.05, v=0.05)
         path = straight_path((1, 0), Direction.NORTH, 8)
         system = build_corridor_system(Grid(8), params, path.cells)
-        meter = ThroughputMeter()
-        for _ in range(2500):
-            meter.observe(system.update().consumed_count)
-        report = meter_report(meter, relative_tolerance=0.05)
+        series = [system.update().consumed_count for _ in range(2500)]
+        report = convergence_report(series, relative_tolerance=0.05)
         assert report.converged(min_margin=0.2)
         assert report.settled_at < 2000

@@ -1,6 +1,6 @@
 """Round-engine equivalence: the differential matrix plus engine units.
 
-The headline test runs the lockstep harness (``tests/differential.py``)
+The headline test runs the lockstep harness (``repro.testing.differential``)
 over a matrix of randomized seeded configurations — faulting and
 fault-free, corridor and free-form — asserting that the incremental
 dirty-set engine is observationally identical to the full-sweep
@@ -35,7 +35,7 @@ from repro.sim.engine import (
     resolve_engine_name,
 )
 from repro.sim.simulator import build_simulation
-from tests.differential import (
+from repro.testing.differential import (
     DifferentialMismatch,
     canonical_report,
     random_config,

@@ -53,7 +53,11 @@ from repro.obs.instrument import ObservabilityConfig
 from repro.sim import engine as engine_module
 from repro.sim.engine import VectorizedEngine, make_engine
 from repro.sim.simulator import build_simulation
-from tests.differential import DifferentialMismatch, random_config, run_lockstep
+from repro.testing.differential import (
+    DifferentialMismatch,
+    random_config,
+    run_lockstep,
+)
 from tests.test_engine_differential import corridor_config
 
 FAULTING_SEEDS = range(26)

@@ -1,19 +1,18 @@
-"""Engine-differential coverage for the extension systems.
+"""Engine-differential coverage for the generalized systems.
 
 The incremental engine is proven observationally identical to the
 reference engine on *core* configs (``tests/test_engine_differential.py``).
-This module extends the net to the extensions: workloads that
-``extensions/multiflow.py`` (restricted to a single flow) and
+This module extends the net to the generalizations: workloads that
+``multiflow/system.py`` (restricted to a single commodity) and
 ``extensions/grid3d.py`` (restricted to a flat slab) model must agree —
 round-for-round, on consumption — with the core system under *both*
 engines, and the two engines must stay in full lockstep on those same
 configs. Any divergence is a bug in one of three independently written
 implementations; the triangle pins down which.
 
-Historical note: the multi-flow produce step used to insert entities at
-a default north-wall entry before a route to the target existed, where
-the core sources (and the 3-D extension) wait for ``next`` to be set.
-``TestProduceGate`` keeps that divergence fixed.
+Production must wait for a route to the target: the core sources (and
+the 3-D extension) wait for ``next`` to be set, and ``TestProduceGate``
+holds the multi-commodity sources to the same rule.
 """
 
 import random
@@ -21,9 +20,11 @@ from typing import List
 
 from repro.core.params import Parameters
 from repro.extensions.grid3d import Grid3D, System3D, check_safe_3d
-from repro.extensions.multiflow import Flow, MultiFlowSystem
 from repro.grid.paths import straight_path, turns_path
 from repro.grid.topology import Direction, Grid
+from repro.monitors.safety import check_safe
+from repro.multiflow.commodities import Commodity
+from repro.multiflow.system import MultiCommoditySystem
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import build_simulation
 from repro.testing.differential import run_lockstep
@@ -48,20 +49,26 @@ def consumed_core(config: SimulationConfig, engine: str) -> List[int]:
     return [simulator.step().consumed_count for _ in range(config.rounds)]
 
 
-def consumed_multiflow(path_cells, rounds: int) -> List[int]:
+def single_commodity_corridor(path_cells) -> MultiCommoditySystem:
+    """One commodity along ``path_cells``, every other cell failed."""
     grid = Grid(8)
-    system = MultiFlowSystem(
-        grid=grid,
-        params=PARAMS,
-        flows=[Flow(name="main", target=path_cells[-1], sources=(path_cells[0],))],
+    system = MultiCommoditySystem(
+        grid,
+        PARAMS,
+        (Commodity(name="main", target=path_cells[-1], sources=(path_cells[0],)),),
         rng=random.Random(0),
     )
     on_path = set(path_cells)
     for cid in grid.cells():
         if cid not in on_path:
             system.fail(cid)
-    sequence = [system.update()["main"] for _ in range(rounds)]
-    assert system.check_safe() == []
+    return system
+
+
+def consumed_multiflow(path_cells, rounds: int) -> List[int]:
+    system = single_commodity_corridor(path_cells)
+    sequence = [system.update().consumed_count for _ in range(rounds)]
+    assert check_safe(system) == []
     return sequence
 
 
@@ -85,7 +92,7 @@ def consumed_3d(path_cells_3d, rounds: int, grid: Grid3D) -> List[int]:
 
 
 class TestMultiflowDifferential:
-    """Single-flow multiflow == core System, under both engines."""
+    """Single-commodity multiflow == core System, under both engines."""
 
     def check_triangle(self, path_cells, rounds: int) -> None:
         config = corridor_config(path_cells, rounds)
@@ -127,30 +134,20 @@ class TestGrid3DDifferential:
 
 
 class TestProduceGate:
-    """The fixed divergence: production waits for a route to exist."""
+    """Production waits for a route to exist."""
 
     def test_multiflow_waits_for_route(self):
         """No entity may appear before dist propagates to the source.
 
-        On a length-8 corridor the source learns a route only after 7
-        route rounds; the old code produced an entity at the default
-        north-wall entry on round 0.
+        On a length-8 corridor the source learns a route in the Route
+        phase of round 6 (seven hops from the target), and produces at
+        the end of that round.
         """
         path = straight_path((1, 0), Direction.NORTH, 8).cells
-        grid = Grid(8)
-        system = MultiFlowSystem(
-            grid=grid,
-            params=PARAMS,
-            flows=[Flow(name="main", target=path[-1], sources=(path[0],))],
-            rng=random.Random(0),
+        system = single_commodity_corridor(path)
+        first = next(
+            report.round_index
+            for report in system.run(13)
+            if report.produced
         )
-        on_path = set(path)
-        for cid in grid.cells():
-            if cid not in on_path:
-                system.fail(cid)
-        for _ in range(3):
-            system.update()
-            assert system.total_produced["main"] == 0
-        for _ in range(10):
-            system.update()
-        assert system.total_produced["main"] > 0
+        assert first == 6

@@ -18,47 +18,24 @@ class TestThroughputMeter:
         with pytest.raises(ValueError):
             ThroughputMeter().observe(-1)
 
-    def test_k_round_throughput(self):
-        meter = ThroughputMeter()
-        for count in [0, 1, 0, 2, 1]:
-            meter.observe(count)
-        assert meter.k_round_throughput(2) == 0.5
-        assert meter.k_round_throughput(5) == pytest.approx(0.8)
-
-    def test_k_round_bounds(self):
-        meter = ThroughputMeter()
-        meter.observe(1)
-        with pytest.raises(ValueError):
-            meter.k_round_throughput(0)
-        with pytest.raises(ValueError):
-            meter.k_round_throughput(5)
-
     def test_average_with_warmup(self):
-        meter = ThroughputMeter()
-        for count in [0, 0, 0, 0, 2, 2]:
-            meter.observe(count)
-        assert meter.average_throughput() == pytest.approx(4 / 6)
-        assert meter.average_throughput(warmup=4) == pytest.approx(2.0)
+        plain, warmed = ThroughputMeter(), ThroughputMeter(warmup=4)
+        for count in [1, 0, 0, 0]:
+            warmed.observe(count)
+        assert warmed.average_throughput() == 0.0  # still warming up
+        for count in [2, 2]:
+            warmed.observe(count)
+        for count in [1, 0, 0, 0, 2, 2]:
+            plain.observe(count)
+        assert plain.average_throughput() == pytest.approx(5 / 6)
+        assert warmed.average_throughput() == pytest.approx(2.0)
+        # The warm-up rounds still count toward the totals.
+        assert warmed.rounds == plain.rounds == 6
+        assert warmed.total_consumed == plain.total_consumed == 5
 
     def test_warmup_validation(self):
-        meter = ThroughputMeter()
-        meter.observe(1)
         with pytest.raises(ValueError):
-            meter.average_throughput(warmup=-1)
-
-    def test_cumulative_series(self):
-        meter = ThroughputMeter()
-        for count in [1, 0, 2]:
-            meter.observe(count)
-        assert meter.cumulative_series() == [1.0, 0.5, 1.0]
-
-    def test_windowed_series(self):
-        meter = ThroughputMeter()
-        for count in [1, 0, 2, 2, 0, 0]:
-            meter.observe(count)
-        assert meter.windowed_series(2) == [0.5, 2.0, 0.0]
-        with pytest.raises(ValueError):
-            meter.windowed_series(0)
+            ThroughputMeter(warmup=-1)
 
 
 class TestLatencyStats:

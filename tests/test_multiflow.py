@@ -12,12 +12,16 @@ under round-robin token rotation (neither starves).
 from __future__ import annotations
 
 import json
+import math
+import random
 
 import pytest
 
 from repro.cli.main import main as cli_main
+from repro.core.entity import Entity
 from repro.core.params import Parameters
 from repro.grid.topology import Grid
+from repro.monitors.safety import check_safe
 from repro.multiflow.commodities import (
     Commodity,
     CommodityTable,
@@ -34,6 +38,20 @@ from repro.sim.config import FaultSpec, SimulationConfig
 from repro.sim.simulator import build_simulation
 
 PARAMS = Parameters(l=0.25, rs=0.05, v=0.25)
+
+
+def plus_crossing() -> MultiCommoditySystem:
+    """Two commodities crossing at the center (2, 2) of a 5-grid:
+    eastbound along row 2 and northbound along column 2."""
+    return MultiCommoditySystem(
+        Grid(5),
+        Parameters(l=0.2, rs=0.05, v=0.2),
+        (
+            Commodity(name="eastbound", target=(4, 2), sources=((0, 2),)),
+            Commodity(name="northbound", target=(2, 4), sources=((2, 0),)),
+        ),
+        rng=random.Random(0),
+    )
 
 
 def crossing_config(**overrides) -> SimulationConfig:
@@ -79,6 +97,10 @@ class TestCommodityTable:
         assert table.by_name("c2").name == "c2"
         assert len(table) == 3
         assert len(table.targets()) == 3
+
+    def test_rejects_empty_table(self):
+        with pytest.raises(ValueError, match="at least one commodity"):
+            CommodityTable(())
 
     def test_rejects_duplicate_names(self):
         pair = (
@@ -217,6 +239,40 @@ class TestSystem:
         for _, pick in picks.items():
             assert pick in tied
 
+    def test_per_commodity_targets_initialized(self):
+        """Before any round, each commodity's target is at distance 0 in
+        its own table only."""
+        system = plus_crossing()
+        assert system.cells[(4, 2)].dists["eastbound"] == 0.0
+        assert system.cells[(2, 4)].dists["northbound"] == 0.0
+        assert system.cells[(4, 2)].dists["northbound"] == math.inf
+        assert system.cells[(2, 4)].dists["eastbound"] == math.inf
+
+    def test_route_tables_are_per_commodity(self):
+        """Each commodity's table converges to its own distances, so the
+        crossing cell routes the two commodities to different
+        neighbors."""
+        system = plus_crossing()
+        system.run(10)
+        assert system.cells[(0, 2)].dists["eastbound"] == 4.0
+        assert system.cells[(2, 0)].dists["northbound"] == 4.0
+        crossing = system.cells[(2, 2)]
+        assert crossing.nexts["eastbound"] == (3, 2)
+        assert crossing.nexts["northbound"] == (2, 3)
+
+    def test_failed_cell_is_masked_for_every_commodity(self):
+        system = plus_crossing()
+        system.run(10)
+        system.fail((3, 2))
+        system.run(10)
+        names = system.table.names()
+        failed = system.cells[(3, 2)]
+        assert all(math.isinf(failed.dists[name]) for name in names)
+        assert all(failed.nexts[name] is None for name in names)
+        for cid, cell in system.cells.items():
+            for name in names:
+                assert cell.nexts[name] != (3, 2), (cid, name)
+
     def test_workload_gates_production(self):
         class Never(WorkloadProfile):
             """Test profile: no commodity ever offers load."""
@@ -259,6 +315,65 @@ class TestSystem:
             report = system.update()
             reasons.update(report.signal.block_reasons.values())
         assert "residency" in reasons
+
+
+# ----------------------------------------------------------------------
+# Gridlock and the waits-on-cycle detector
+# ----------------------------------------------------------------------
+
+
+class TestWaitingCycles:
+    def test_hand_built_two_cycle_detected(self):
+        """Two loaded cells whose resident commodities route through each
+        other form a waits-on 2-cycle."""
+        system = MultiCommoditySystem(
+            Grid(4, 1),
+            PARAMS,
+            (
+                Commodity(name="east", target=(3, 0), sources=((0, 0),)),
+                Commodity(name="west", target=(0, 0), sources=((3, 0),)),
+            ),
+        )
+        for uid, (cid, name, nxt) in enumerate(
+            (((1, 0), "east", (2, 0)), ((2, 0), "west", (1, 0)))
+        ):
+            entity = Entity(uid=uid, x=cid[0] + 0.5, y=0.5)
+            entity.commodity_name = name
+            system.cells[cid].add_entity(entity)
+            system.cells[cid].nexts[name] = nxt
+        cycles = system.detect_waiting_cycles()
+        assert len(cycles) == 1
+        assert set(cycles[0]) == {(1, 0), (2, 0)}
+
+    def test_empty_cells_never_in_cycles(self):
+        assert plus_crossing().detect_waiting_cycles() == []
+
+    def test_detours_around_crashes_gridlock_and_are_detected(self):
+        """Crashing the crossing cell and the two cells diagonal to it
+        forces both commodities onto detours through the same cells in
+        opposite directions. Under the residency rule the loaded cells
+        end up in a cycle, each waiting on the next to drain, and
+        neither commodity delivers again. Safety and type exclusivity
+        hold throughout, and the waits-on detector names the jammed
+        cells.
+
+        One crash at (2, 2) is not enough here: ECMP tie-splitting
+        spreads the two detours apart and both commodities keep
+        delivering.
+        """
+        system = plus_crossing()
+        system.run(50)
+        for cid in ((2, 2), (3, 1), (1, 3)):
+            system.fail(cid)
+        stuck = dict(system.consumed_by_commodity)
+        for _ in range(950):
+            system.update()
+            assert system.consumed_by_commodity == stuck
+            assert check_safe(system) == []
+            assert system.check_type_exclusive() == []
+        cycles = system.detect_waiting_cycles()
+        assert cycles, "the gridlock should be observable as a waits-on cycle"
+        assert all(len(cycle) >= 2 for cycle in cycles)
 
 
 # ----------------------------------------------------------------------

@@ -176,8 +176,6 @@ class TestProgress:
         system = _merge_system(RoundRobinTokenPolicy(), seed=5)
         simulator = Simulator(system=system, rounds=1500, monitors=MonitorSuite())
         simulator.run()
-        per_source = {}
-        for record in simulator.tracker.consumed():
-            per_source[record.source] = per_source.get(record.source, 0) + 1
-        assert per_source.get((0, 2), 0) > 0
-        assert per_source.get((2, 0), 0) > 0
+        per_source = simulator.tracker.consumed_by_source
+        assert per_source[(0, 2)] > 0
+        assert per_source[(2, 0)] > 0

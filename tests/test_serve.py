@@ -777,111 +777,42 @@ class TestOracles:
 
 
 # ---------------------------------------------------------------------------
-# Streaming meters (the bounded-memory substrate)
+# Bounded meters (the bounded-memory substrate)
 # ---------------------------------------------------------------------------
 
 
-class TestStreamingMeters:
-    """The serve loop swaps the per-round list accumulators for O(1)
-    streaming aggregates; every summary statistic must stay exact."""
+class TestBoundedMeters:
+    """The serve loop's flat memory rests on the simulator's meters and
+    the injector's shallow fault history: neither grows with rounds."""
 
-    def test_summaries_match_batch_meters(self):
-        """A batch run and a streaming-metered run of the same config
-        produce the same SimulationResult summary numbers."""
-        from repro.metrics.streaming import install_streaming_meters
+    def test_meter_memory_is_flat(self):
+        """The meters keep counters, not series: the throughput meter and
+        occupancy probe hold only scalars, and the tracker keeps records
+        for in-flight entities alone."""
+        from repro.metrics.throughput import ThroughputMeter
         from repro.sim.simulator import build_simulation
 
-        config = small_config(rounds=50)
-        batch = build_simulation(config)
-        batch_result = batch.run()
-
-        streaming = build_simulation(config)
-        install_streaming_meters(streaming)
-        streaming_result = streaming.run()
-
-        for field in (
-            "rounds",
-            "produced",
-            "consumed",
-            "throughput",
-            "mean_latency",
-            "p95_latency",
-            "mean_blocked_cells",
-            "mean_entities",
-        ):
-            assert getattr(streaming_result, field) == getattr(
-                batch_result, field
-            ), field
-
-    def test_streaming_tracker_latencies_are_exact(self):
-        from repro.metrics.streaming import install_streaming_meters
-        from repro.sim.simulator import build_simulation
-
-        config = small_config(rounds=50)
-        batch = build_simulation(config)
-        batch.run()
-        streaming = build_simulation(config)
-        install_streaming_meters(streaming)
-        streaming.run()
-        assert streaming.tracker.latencies() == batch.tracker.latencies()
-        assert streaming.tracker.consumed_count == len(batch.tracker.consumed())
-        # In-flight records are retained; consumed ones are retired.
-        assert len(streaming.tracker.records) == len(batch.tracker.in_flight())
-
-    def test_streaming_meter_memory_is_flat(self):
-        """The streaming meter's footprint does not grow with rounds."""
-        from repro.metrics.streaming import StreamingThroughputMeter
-
-        meter = StreamingThroughputMeter()
+        meter = ThroughputMeter()
         for i in range(10_000):
             meter.observe(i % 3)
         assert meter.rounds == 10_000
         assert meter.total_consumed == sum(i % 3 for i in range(10_000))
-        # No per-round storage to inspect — the public surface is totals.
-        assert not hasattr(meter, "per_round")
 
-    def test_streaming_meter_pins_warmup(self):
-        from repro.metrics.streaming import StreamingThroughputMeter
-
-        meter = StreamingThroughputMeter(warmup=2)
-        for count in (5, 5, 1, 2, 3):
-            meter.observe(count)
-        assert meter.average_throughput(warmup=2) == pytest.approx(2.0)
-        with pytest.raises(ValueError, match="built for warmup=2"):
-            meter.average_throughput(warmup=0)
-
-    def test_install_refuses_midstream(self):
-        from repro.metrics.streaming import install_streaming_meters
-        from repro.sim.simulator import build_simulation
-
-        simulator = build_simulation(small_config(rounds=10))
-        simulator.step()
-        with pytest.raises(RuntimeError, match="before the first step"):
-            install_streaming_meters(simulator)
-
-    def test_service_installs_streaming_meters(self):
-        from repro.metrics.streaming import (
-            StreamingEntityTracker,
-            StreamingOccupancyProbe,
-            StreamingThroughputMeter,
-        )
-
-        service = build_service(small_config(), MemorySink(), max_rounds=1)
-        simulator = service.stepper.simulator
-        assert isinstance(simulator.meter, StreamingThroughputMeter)
-        assert isinstance(simulator.occupancy, StreamingOccupancyProbe)
-        assert isinstance(simulator.tracker, StreamingEntityTracker)
-        service.run()
+        simulator = build_simulation(small_config(rounds=200))
+        simulator.run()
+        for probe in (simulator.meter, simulator.occupancy):
+            assert all(isinstance(v, (int, float)) for v in vars(probe).values())
+        tracker = simulator.tracker
+        consumed = sum(tracker.consumed_by_source.values())
+        assert consumed == simulator.meter.total_consumed > 0
+        assert len(tracker.records) == simulator.system.entity_count()
 
     def test_service_bounds_fault_history(self):
-        """The injector's 10k-decision batch window would grow linearly
-        for most of a long soak; the service re-caps it shallow (the
+        """The service keeps the injector's shallow default window (the
         event stream carries the full fault record)."""
-        from repro.serve.service import SERVE_FAULT_HISTORY_LIMIT
-
         service = build_service(small_config(), MemorySink(), max_rounds=30)
         injector = service.stepper.simulator.injector
-        assert injector.history.maxlen == SERVE_FAULT_HISTORY_LIMIT
+        assert injector.history.maxlen == 256
         service.run()
         assert len(injector.history) == 30
 

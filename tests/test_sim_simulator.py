@@ -1,11 +1,13 @@
 """Unit/integration tests for the simulator, runner, sweeps, and results."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from repro.core.params import Parameters
+from repro.metrics.latency import percentile
 from repro.sim.config import FaultSpec, SimulationConfig
 from repro.sim.results import SimulationResult, SweepResult
 from repro.sim.runner import run_config, run_replications
@@ -119,6 +121,76 @@ class TestSimulatorRun:
         simulator = build_simulation(corridor_config())
         with pytest.raises(ValueError):
             Simulator(system=simulator.system, rounds=0)
+
+    @staticmethod
+    def faulting_run():
+        """A warmed-up run with crashes and recoveries, stepped by hand so
+        the test keeps every round's report."""
+        config = SimulationConfig(
+            grid_width=6,
+            params=PARAMS,
+            rounds=400,
+            warmup=60,
+            seed=5,
+            tid=(5, 5),
+            sources=((0, 0), (0, 5)),
+            fault=FaultSpec(pf=0.01, pr=0.1, protect_target=True),
+        )
+        simulator = build_simulation(config)
+        reports = [simulator.step() for _ in range(config.rounds)]
+        return config, simulator, reports
+
+    def test_summary_recomputed_from_round_reports(self):
+        """Every summary field the meters feed equals a recomputation from
+        the run's own round reports, on a faulting run with a warm-up."""
+        config, simulator, reports = self.faulting_run()
+        result = simulator.summarize()
+        assert result.total_failures > 0
+
+        births, latencies, entities, in_flight = {}, [], [], 0
+        for report in reports:
+            for entity in report.produced:
+                births[entity.uid] = entity.birth_round
+            for transfer in report.move.transfers:
+                if transfer.consumed:
+                    latencies.append(report.round_index - births[transfer.uid])
+            in_flight += len(report.produced) - report.consumed_count
+            entities.append(in_flight)
+        latencies.sort()
+        measured = reports[config.warmup :]
+
+        assert result.rounds == len(reports)
+        assert result.consumed == sum(r.consumed_count for r in reports)
+        assert result.throughput == (
+            sum(r.consumed_count for r in measured) / len(measured)
+        )
+        assert result.mean_latency == sum(latencies) / len(latencies)
+        assert result.p95_latency == percentile(latencies, 0.95)
+        assert result.mean_blocked_cells == (
+            sum(len(r.signal.blocked) for r in reports) / len(reports)
+        )
+        assert result.mean_entities == sum(entities) / len(entities)
+
+    def test_tracker_latencies_recomputed_from_round_reports(self):
+        """The tracker's latency histogram, per-source consumed counts and
+        in-flight records equal a per-entity replay of the round reports:
+        a consumed entity's record is retired, an in-flight one is kept."""
+        _, simulator, reports = self.faulting_run()
+        births, sources, latencies = {}, {}, []
+        by_source = Counter()
+        for report in reports:
+            for entity in report.produced:
+                births[entity.uid] = entity.birth_round
+            for transfer in report.move.transfers:
+                sources.setdefault(transfer.uid, transfer.src)
+                if transfer.consumed:
+                    latencies.append(report.round_index - births.pop(transfer.uid))
+                    by_source[sources[transfer.uid]] += 1
+        tracker = simulator.tracker
+        assert latencies
+        assert tracker.latencies() == sorted(latencies)
+        assert tracker.consumed_by_source == by_source
+        assert set(tracker.records) == set(births)
 
 
 class TestRunner:
