@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.core.system import System
 from repro.faults.model import FaultDecision, FaultModel, NoFaults
-from repro.grid.topology import CellId
+from repro.grid.topology import CellId, Grid
 
 #: Default cap on retained per-round decisions.
 DEFAULT_HISTORY_LIMIT = 256
@@ -67,6 +67,8 @@ class FaultInjector:
         self.total_recoveries = 0
         self.rounds_applied = 0
         self._last_disruption: Optional[int] = None
+        self._order_grid: Optional[Grid] = None
+        self._order: List[CellId] = []
 
     def apply(self, system: System) -> FaultDecision:
         """Decide and apply this round's fault events (before ``update``)."""
@@ -78,8 +80,14 @@ class FaultInjector:
             system.relocate_target(new_tid)
             self._relocation_pos += 1
             self._last_disruption = self.rounds_applied
-        alive = sorted(system.non_faulty_cells())
-        failed = sorted(system.failed_cells())
+        cells = system.cells
+        alive: List[CellId] = []
+        failed: List[CellId] = []
+        for cid in self._ascending_ids(system):
+            if cells[cid].failed:
+                failed.append(cid)
+            else:
+                alive.append(cid)
         decision = self.model.decide(system.round_index, alive, failed, self.rng)
         for cid in sorted(decision.fail):
             system.fail(cid)
@@ -97,6 +105,14 @@ class FaultInjector:
             if decision.recover:
                 self.metrics.counter("faults.recovered").inc(len(decision.recover))
         return decision
+
+    def _ascending_ids(self, system: System) -> List[CellId]:
+        """Every cell id of ``system.grid`` in ascending order, sorted once
+        per grid: the fault coins are drawn in this order."""
+        if system.grid != self._order_grid:
+            self._order = sorted(system.cells)
+            self._order_grid = system.grid
+        return self._order
 
     @property
     def last_disruption_round(self) -> Optional[int]:

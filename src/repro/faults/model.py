@@ -37,7 +37,13 @@ class FaultModel:
         rng: random.Random,
     ) -> FaultDecision:
         """Return which of the ``alive`` cells crash and which of the
-        ``failed`` cells recover this round."""
+        ``failed`` cells recover this round.
+
+        ``alive`` and ``failed`` must be in ascending cell-id order (the
+        injector passes them so). A model that draws from ``rng`` draws in
+        that order, which makes the rng stream independent of set order
+        and runs reproducible for a given seed.
+        """
         raise NotImplementedError
 
 
@@ -93,16 +99,11 @@ class BernoulliFaultModel(FaultModel):
         failed: Iterable[CellId],
         rng: random.Random,
     ) -> FaultDecision:
-        # Sorted iteration makes the rng stream independent of set order,
-        # so runs are reproducible for a given seed.
+        immune, pf, pr, draw = self.immune, self.pf, self.pr, rng.random
         to_fail: Set[CellId] = {
-            cid
-            for cid in sorted(alive)
-            if cid not in self.immune and rng.random() < self.pf
+            cid for cid in alive if cid not in immune and draw() < pf
         }
-        to_recover: Set[CellId] = {
-            cid for cid in sorted(failed) if rng.random() < self.pr
-        }
+        to_recover: Set[CellId] = {cid for cid in failed if draw() < pr}
         return FaultDecision(fail=frozenset(to_fail), recover=frozenset(to_recover))
 
 

@@ -68,16 +68,18 @@ def manhattan_distance(a: CellId, b: CellId) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
+_BY_DELTA = {direction.value: direction for direction in DIRECTIONS}
+
+
 def direction_between(src: CellId, dst: CellId) -> Direction:
     """The direction from ``src`` to an *adjacent* cell ``dst``.
 
     Raises ``ValueError`` when the cells are not lattice neighbors.
     """
-    delta = (dst[0] - src[0], dst[1] - src[1])
-    for direction in DIRECTIONS:
-        if direction.value == delta:
-            return direction
-    raise ValueError(f"cells {src} and {dst} are not neighbors")
+    try:
+        return _BY_DELTA[(dst[0] - src[0], dst[1] - src[1])]
+    except KeyError:
+        raise ValueError(f"cells {src} and {dst} are not neighbors") from None
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,10 @@ class Grid:
 
     ``Grid(n)`` builds the paper's ``n x n`` instance. Identifiers range
     over ``[0, width) x [0, height)``.
+
+    Each instance memoizes its neighbor lists (:meth:`neighbors`), so the
+    table lives and dies with the grid; it is not a field, so equality,
+    hashing, ``repr`` and pickling see only the dimensions.
     """
 
     width: int
@@ -98,6 +104,11 @@ class Grid:
             raise ValueError(
                 f"grid dimensions must be positive, got {self.width}x{self.height}"
             )
+        object.__setattr__(self, "_neighbor_table", {})
+
+    def __reduce__(self):
+        # Rebuild from the dimensions: the memo table is not pickled.
+        return (type(self), (self.width, self.height))
 
     @property
     def size(self) -> int:
@@ -125,13 +136,21 @@ class Grid:
                 yield (i, j)
 
     def neighbors(self, cell: CellId) -> List[CellId]:
-        """The in-grid lattice neighbors of ``cell``, in a fixed order."""
-        self.require(cell)
-        return [
-            moved
-            for direction in DIRECTIONS
-            if self.contains(moved := direction.step(cell))
-        ]
+        """The in-grid lattice neighbors of ``cell``, in a fixed order.
+
+        Returns a fresh list each call (callers may extend it); the
+        neighbors themselves are computed once per cell and grid.
+        """
+        table = self._neighbor_table  # type: ignore[attr-defined]
+        found = table.get(cell)
+        if found is None:
+            self.require(cell)
+            found = table[cell] = tuple(
+                moved
+                for direction in DIRECTIONS
+                if self.contains(moved := direction.step(cell))
+            )
+        return list(found)
 
     def are_neighbors(self, a: CellId, b: CellId) -> bool:
         """True when both cells are in the grid and L1-adjacent."""

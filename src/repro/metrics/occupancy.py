@@ -33,8 +33,9 @@ class OccupancyProbe:
 
     def observe(self, system: System, report: RoundReport) -> None:
         """Record one round's occupancy/blocking sample."""
-        entities = system.entity_count()
-        occupied = sum(1 for state in system.cells.values() if state.members)
+        sizes = [len(state.members) for state in system.cells.values()]
+        entities = sum(sizes)
+        occupied = len(sizes) - sizes.count(0)
         self.rounds += 1
         self._entities_sum += entities
         self._blocked_sum += blocked_cell_count(report)

@@ -15,9 +15,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.core.cell import CellState
+from repro.core.entity import Entity
 from repro.core.params import Parameters
 from repro.core.signal import gap_clear
 from repro.core.system import System
@@ -41,20 +42,32 @@ class ContainmentViolation:
         )
 
 
+def cell_containment_violations(
+    cid: CellId, entities: List[Entity], half_l: float
+) -> Iterator[ContainmentViolation]:
+    """Invariant 1 on one cell: members whose footprint leaves it.
+
+    ``entities`` are the cell's members in uid order
+    (:meth:`CellState.entities`).
+    """
+    i, j = cid
+    for entity in entities:
+        inside = (
+            tol_ge(entity.x, i + half_l)
+            and tol_le(entity.x, i + 1 - half_l)
+            and tol_ge(entity.y, j + half_l)
+            and tol_le(entity.y, j + 1 - half_l)
+        )
+        if not inside:
+            yield ContainmentViolation(cell=cid, uid=entity.uid, x=entity.x, y=entity.y)
+
+
 def containment_violations(system: System) -> Iterator[ContainmentViolation]:
     """Invariant 1 violations in the current state."""
     half = system.params.half_l
     for cid, state in system.cells.items():
-        i, j = cid
-        for entity in state.entities():
-            inside = (
-                tol_ge(entity.x, i + half)
-                and tol_le(entity.x, i + 1 - half)
-                and tol_ge(entity.y, j + half)
-                and tol_le(entity.y, j + 1 - half)
-            )
-            if not inside:
-                yield ContainmentViolation(cell=cid, uid=entity.uid, x=entity.x, y=entity.y)
+        if state.members:
+            yield from cell_containment_violations(cid, state.entities(), half)
 
 
 def check_containment(system: System) -> List[ContainmentViolation]:
@@ -62,16 +75,28 @@ def check_containment(system: System) -> List[ContainmentViolation]:
     return list(containment_violations(system))
 
 
+def note_members(
+    cid: CellId,
+    members: Iterable[int],
+    seen: Dict[int, CellId],
+    duplicated: List[int],
+) -> None:
+    """Invariant 2, one cell at a time: append to ``duplicated`` every
+    uid in ``members`` that an earlier cell (recorded in ``seen``)
+    already holds."""
+    for uid in members:
+        if uid in seen:
+            duplicated.append(uid)
+        else:
+            seen[uid] = cid
+
+
 def check_disjoint_membership(system: System) -> List[int]:
     """Invariant 2: uids appearing in more than one cell (empty = holds)."""
     seen: Dict[int, CellId] = {}
     duplicated: List[int] = []
     for cid, state in system.cells.items():
-        for uid in state.members:
-            if uid in seen:
-                duplicated.append(uid)
-            else:
-                seen[uid] = cid
+        note_members(cid, state.members, seen, duplicated)
     return duplicated
 
 
@@ -89,6 +114,16 @@ class SignalGapViolation:
         )
 
 
+def cell_signal_gap_violation(
+    cid: CellId, state: CellState, params: Parameters
+) -> Optional[SignalGapViolation]:
+    """Predicate H on one cell that holds a grant (``state.signal`` set,
+    not failed): the violation, or None when the strip is clear."""
+    if gap_clear(state, direction_between(cid, state.signal), params):
+        return None
+    return SignalGapViolation(cell=cid, granted_to=state.signal)
+
+
 def signal_gap_violations(
     cells: Dict[CellId, CellState], params: Parameters
 ) -> Iterator[SignalGapViolation]:
@@ -96,9 +131,9 @@ def signal_gap_violations(
     for cid, state in cells.items():
         if state.failed or state.signal is None:
             continue
-        toward = direction_between(cid, state.signal)
-        if not gap_clear(state, toward, params):
-            yield SignalGapViolation(cell=cid, granted_to=state.signal)
+        violation = cell_signal_gap_violation(cid, state, params)
+        if violation is not None:
+            yield violation
 
 
 def check_signal_gap(
@@ -108,18 +143,30 @@ def check_signal_gap(
     return list(signal_gap_violations(cells, params))
 
 
+def is_two_cycle_head(
+    cid: CellId, state: CellState, cells: Dict[CellId, CellState]
+) -> bool:
+    """Whether a granting cell (``state.signal`` set, not failed) and the
+    cell it signals point at each other, counted once per unordered pair
+    (at the lower id)."""
+    sig = state.signal
+    if sig <= cid:
+        return False
+    partner = cells.get(sig)
+    return partner is not None and not partner.failed and partner.signal == cid
+
+
 def two_cycle_signal_pairs(system: System) -> List[tuple]:
     """Pairs of adjacent cells whose signals point at each other.
 
     Lemma 4 asserts that no transfer can happen between such a pair in the
     same round; the recorder cross-checks this against the Move report.
     """
-    pairs = []
-    for cid, state in system.cells.items():
-        sig = state.signal
-        if state.failed or sig is None or sig <= cid:
-            continue  # count each unordered pair once
-        partner = system.cells.get(sig)
-        if partner is not None and not partner.failed and partner.signal == cid:
-            pairs.append((cid, sig))
-    return pairs
+    cells = system.cells
+    return [
+        (cid, state.signal)
+        for cid, state in cells.items()
+        if not state.failed
+        and state.signal is not None
+        and is_two_cycle_head(cid, state, cells)
+    ]

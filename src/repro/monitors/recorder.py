@@ -11,16 +11,19 @@ claims and the implementation surfaces immediately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.system import RoundReport, System
+from repro.grid.topology import CellId
 from repro.monitors.invariants import (
-    check_containment,
-    check_disjoint_membership,
-    check_signal_gap,
-    two_cycle_signal_pairs,
+    ContainmentViolation,
+    SignalGapViolation,
+    cell_containment_violations,
+    cell_signal_gap_violation,
+    is_two_cycle_head,
+    note_members,
 )
-from repro.monitors.safety import check_safe
+from repro.monitors.safety import SafetyViolation, cell_safety_violations
 
 
 @dataclass(frozen=True)
@@ -83,27 +86,73 @@ class MonitorSuite:
     # ------------------------------------------------------------------
 
     def _on_phase(self, phase: str, system: System) -> None:
-        if phase == "signal":
-            if self.check_h_predicate:
-                for violation in check_signal_gap(system.cells, system.params):
-                    self._record(system.round_index, "predicate-H", str(violation))
-            if self.check_lemma_4:
-                self._signal_pairs = two_cycle_signal_pairs(system)
+        """At the Signal notification: predicate H and the Lemma 4 pairs,
+        in one pass over every cell (H violations are recorded first)."""
+        if phase != "signal":
+            return
+        check_h = self.check_h_predicate
+        check_pairs = self.check_lemma_4
+        if not (check_h or check_pairs):
+            return
+        cells = system.cells
+        params = system.params
+        gaps: List[SignalGapViolation] = []
+        pairs: List[tuple] = []
+        for cid, state in cells.items():
+            if state.signal is None or state.failed:
+                continue
+            if check_h:
+                gap = cell_signal_gap_violation(cid, state, params)
+                if gap is not None:
+                    gaps.append(gap)
+            if check_pairs and is_two_cycle_head(cid, state, cells):
+                pairs.append((cid, state.signal))
+        for gap in gaps:
+            self._record(system.round_index, "predicate-H", str(gap))
+        if check_pairs:
+            self._signal_pairs = pairs
 
     def after_round(self, system: System, report: RoundReport) -> None:
-        """Run the post-state checks for the round just completed."""
+        """Run the post-state checks for the round just completed.
+
+        Safe, Invariant 1 and Invariant 2 share one pass over every cell
+        (an empty cell cannot violate any of them). Their violations are
+        then recorded property by property: all Safe, then Invariant 1,
+        then Invariant 2, then Lemma 4.
+        """
         rnd = report.round_index
-        if self.check_safety:
-            for violation in check_safe(system):
-                self._record(rnd, "Safe (Theorem 5)", str(violation))
-        if self.check_invariant_1:
-            for violation in check_containment(system):
-                self._record(rnd, "Invariant 1", str(violation))
-        if self.check_invariant_2:
-            for uid in check_disjoint_membership(system):
-                self._record(
-                    rnd, "Invariant 2", f"entity {uid} present in multiple cells"
-                )
+        check_safety = self.check_safety
+        check_inv1 = self.check_invariant_1
+        check_inv2 = self.check_invariant_2
+        unsafe: List[SafetyViolation] = []
+        outside: List[ContainmentViolation] = []
+        duplicated: List[int] = []
+        if check_safety or check_inv1 or check_inv2:
+            d = system.params.d
+            half_l = system.params.half_l
+            seen: Dict[int, CellId] = {}
+            for cid, state in system.cells.items():
+                members = state.members
+                if not members:
+                    continue
+                if check_inv2:
+                    note_members(cid, members, seen, duplicated)
+                if check_safety or check_inv1:
+                    entities = state.entities()
+                    if check_safety and len(entities) > 1:
+                        unsafe.extend(cell_safety_violations(cid, entities, d))
+                    if check_inv1:
+                        outside.extend(
+                            cell_containment_violations(cid, entities, half_l)
+                        )
+        for violation in unsafe:
+            self._record(rnd, "Safe (Theorem 5)", str(violation))
+        for violation in outside:
+            self._record(rnd, "Invariant 1", str(violation))
+        for uid in duplicated:
+            self._record(
+                rnd, "Invariant 2", f"entity {uid} present in multiple cells"
+            )
         if self.check_lemma_4 and self._signal_pairs:
             crossings = {
                 frozenset((t.src, t.dst)) for t in report.move.transfers

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, List
 
 from repro.core.cell import CellState
+from repro.core.entity import Entity
 from repro.core.system import System
 from repro.geometry.separation import axis_separated, min_axis_separation
 from repro.grid.topology import CellId
@@ -35,32 +36,41 @@ class SafetyViolation:
         )
 
 
-def safe_cell(state: CellState, d: float) -> bool:
-    """``Safe_{i,j}(x)``: all member pairs axis-separated by ``d``."""
-    entities = state.entities()
+def cell_safety_violations(
+    cid: CellId, entities: List[Entity], d: float
+) -> Iterator[SafetyViolation]:
+    """``Safe_{i,j}`` on one cell: every member pair closer than ``d``.
+
+    ``entities`` are the cell's members in uid order
+    (:meth:`CellState.entities`); pairs are yielded in that order. The
+    separation helpers read only ``x`` and ``y``, which an entity holds
+    as its center, so no ``Point`` is built per pair.
+    """
     for a in range(len(entities)):
         for b in range(a + 1, len(entities)):
-            if not axis_separated(entities[a].center, entities[b].center, d):
-                return False
-    return True
+            pa, pb = entities[a], entities[b]
+            if not axis_separated(pa, pb, d):  # type: ignore[arg-type]
+                yield SafetyViolation(
+                    cell=cid,
+                    uid_a=pa.uid,
+                    uid_b=pb.uid,
+                    separation=min_axis_separation(pa, pb),  # type: ignore[arg-type]
+                    required=d,
+                )
+
+
+def safe_cell(state: CellState, d: float) -> bool:
+    """``Safe_{i,j}(x)``: all member pairs axis-separated by ``d``."""
+    violations = cell_safety_violations(state.cell_id, state.entities(), d)
+    return next(violations, None) is None
 
 
 def safety_violations(system: System) -> Iterator[SafetyViolation]:
     """Yield every violating pair in the current state."""
     d = system.params.d
     for cid, state in system.cells.items():
-        entities = state.entities()
-        for a in range(len(entities)):
-            for b in range(a + 1, len(entities)):
-                pa, pb = entities[a], entities[b]
-                if not axis_separated(pa.center, pb.center, d):
-                    yield SafetyViolation(
-                        cell=cid,
-                        uid_a=pa.uid,
-                        uid_b=pb.uid,
-                        separation=min_axis_separation(pa.center, pb.center),
-                        required=d,
-                    )
+        if len(state.members) > 1:
+            yield from cell_safety_violations(cid, state.entities(), d)
 
 
 def check_safe(system: System) -> List[SafetyViolation]:

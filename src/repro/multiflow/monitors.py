@@ -31,12 +31,17 @@ class MultiflowMonitorSuite(MonitorSuite):
     check_commodity_conservation: bool = True
 
     def after_round(self, system, report) -> None:
-        """Run all core checks, then the multi-commodity ones."""
+        """Run all core checks, then the multi-commodity ones.
+
+        Violations carry ``report.round_index``, like the core checks:
+        ``system.round_index`` has already advanced past the round.
+        """
         super().after_round(system, report)
+        rnd = report.round_index
         if self.check_type_exclusivity:
             for cid in system.check_type_exclusive():
                 self._record(
-                    system.round_index,
+                    rnd,
                     "TypeExclusive",
                     f"cell {cid} holds entities of multiple commodities",
                 )
@@ -47,7 +52,7 @@ class MultiflowMonitorSuite(MonitorSuite):
                 consumed = system.consumed_by_commodity[name]
                 if produced != consumed + in_flight[name]:
                     self._record(
-                        system.round_index,
+                        rnd,
                         "CommodityConservation",
                         f"commodity {name!r}: produced {produced} != "
                         f"consumed {consumed} + in-flight {in_flight[name]}",
