@@ -2,7 +2,7 @@
 
 Two questions: what does the protocol *cost* on the wire (messages per
 round per cell, by type), and what does realizing shared variables as
-three broadcast sub-rounds cost in wall-clock versus the shared-variable
+timed broadcast turns cost in wall-clock versus the shared-variable
 model?
 """
 
@@ -16,14 +16,14 @@ from repro.core.sources import EagerSource
 from repro.core.system import System
 from repro.grid.paths import straight_path
 from repro.grid.topology import Direction, Grid
-from repro.netsim.runtime import MessagePassingSystem
+from repro.netsim.engine import TimedEngine
 
 PARAMS = Parameters(l=0.25, rs=0.05, v=0.2)
 
 
-def build_passing(n: int) -> MessagePassingSystem:
+def build_passing(n: int) -> TimedEngine:
     path = straight_path((1, 0), Direction.NORTH, n)
-    system = MessagePassingSystem(
+    system = System(
         grid=Grid(n),
         params=PARAMS,
         tid=path.target,
@@ -33,19 +33,22 @@ def build_passing(n: int) -> MessagePassingSystem:
     for cid in Grid(n).cells():
         if cid not in path:
             system.fail(cid)
-    return system
+    return TimedEngine(system)
+
+
+def warmed_up(n: int) -> TimedEngine:
+    engine = build_passing(n)
+    for _ in range(100):
+        engine.step()
+    return engine
 
 
 def test_update_round_message_passing_8x8(benchmark):
-    system = build_passing(8)
-    system.run(100)
-    benchmark(system.update)
+    benchmark(warmed_up(8).step)
 
 
 def test_update_round_message_passing_16x16(benchmark):
-    system = build_passing(16)
-    system.run(100)
-    benchmark(system.update)
+    benchmark(warmed_up(16).step)
 
 
 def test_message_cost_accounting(benchmark):
@@ -58,19 +61,21 @@ def test_message_cost_accounting(benchmark):
     """
 
     def run():
-        system = build_passing(8)
-        system.run(500)
-        return system
+        engine = build_passing(8)
+        for _ in range(500):
+            engine.step()
+        return engine
 
-    system = run_once(benchmark, run)
-    stats = system.network.stats
+    engine = run_once(benchmark, run)
+    system = engine.system
+    sent = engine.sent_by_type
     print()
     print(
         format_table(
             ["message type", "total", "per round"],
             [
                 (name, count, count / 500)
-                for name, count in sorted(stats.sent_by_type.items())
+                for name, count in sorted(sent.items())
             ],
         )
     )
@@ -78,5 +83,5 @@ def test_message_cost_accounting(benchmark):
         len(system.grid.neighbors(cid)) for cid in system.non_faulty_cells()
     )
     for advert in ("RouteAdvert", "OccupancyAdvert", "GrantAdvert"):
-        assert stats.sent_by_type[advert] == degree_sum * 500
-    assert stats.sent_by_type["EntityTransferMessage"] >= system.total_consumed
+        assert sent[advert] == degree_sum * 500
+    assert sent["EntityTransferMessage"] >= system.total_consumed

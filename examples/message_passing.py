@@ -4,9 +4,9 @@
 The paper specifies ``System`` with shared variables but describes the
 intended implementation: each round, every cell broadcasts its state to
 its neighbors. This example runs that implementation
-(:mod:`repro.netsim`): one paper round becomes three broadcast
-sub-rounds (dist -> Route, next/occupancy -> Signal, grant -> Move) plus
-entity hand-off messages.
+(:mod:`repro.netsim`): one paper round becomes four timed turns (dist ->
+Route, next/occupancy -> Signal, grant -> Move, then entity hand-off
+messages), each message delayed by up to one round period.
 
 It then runs the shared-variable model side by side under the same
 scripted failures and checks, round by round, that both are in exactly
@@ -20,14 +20,14 @@ import random
 
 from repro import EagerSource, Parameters, System
 from repro.grid import Direction, Grid, straight_path
-from repro.netsim import MessagePassingSystem
+from repro.netsim import TimedEngine, UniformDelay
 
 ROUNDS = 1000
 FAULT_PLAN = {100: ("fail", (1, 4)), 400: ("recover", (1, 4))}
 
 
-def build(cls, path):
-    system = cls(
+def build(path):
+    system = System(
         grid=Grid(8),
         params=Parameters(l=0.25, rs=0.05, v=0.2),
         tid=path.target,
@@ -58,19 +58,22 @@ def fingerprint(cells):
 
 def main() -> None:
     path = straight_path((1, 0), Direction.NORTH, 8)
-    shared = build(System, path)
-    passing = build(MessagePassingSystem, path)
+    shared = build(path)
+    engine = TimedEngine(
+        build(path),
+        delay_model=UniformDelay(0.0, 1.0),
+        delay_rng=random.Random(1),
+    )
+    passing = engine.system
 
     divergence = None
-    messages = 0
     for round_index in range(ROUNDS):
         if round_index in FAULT_PLAN:
             kind, cell = FAULT_PLAN[round_index]
             for system in (shared, passing):
                 getattr(system, kind)(cell)
         shared.update()
-        report = passing.update()
-        messages += report.messages_sent
+        engine.step()
         if fingerprint(shared.cells) != fingerprint(passing.cells):
             divergence = round_index
             break
@@ -83,13 +86,13 @@ def main() -> None:
     )
     print(f"entities delivered:     {passing.total_consumed} "
           f"(shared model: {shared.total_consumed})")
+    messages = sum(engine.sent_by_type.values())
     print(f"total messages:         {messages}")
     print(f"messages per round:     {messages / ROUNDS:.1f}")
-    stats = passing.network.stats
     print("by type:")
-    for name, count in sorted(stats.sent_by_type.items()):
+    for name, count in sorted(engine.sent_by_type.items()):
         print(f"  {name:<24} {count:>8}  ({count / ROUNDS:.2f}/round)")
-    print(f"suppressed (crashed):   {stats.suppressed_from_crashed}")
+    print(f"late adverts:           {engine.late_adverts}")
 
 
 if __name__ == "__main__":

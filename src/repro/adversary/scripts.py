@@ -367,11 +367,6 @@ class RotatingTarget(AdversaryScript):
                 "Bernoulli fault model (a relocation destination could be "
                 "failed at relocation time)"
             )
-        if config.engine not in (None, "reference", "incremental"):
-            raise ValueError(
-                f"engine {config.engine!r} does not support target "
-                "relocation; use 'reference', 'incremental', or None"
-            )
 
     def sample_spec(self, rng: random.Random) -> str:
         return format_adversary_spec(self.name, {"moves": rng.randint(1, 3)})

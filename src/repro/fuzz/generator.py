@@ -69,12 +69,13 @@ _SALT = 0xF022
 class NetSpec:
     """Message-passing adversary knobs for the ``netsim`` oracle.
 
-    ``drop`` is the per-advert loss probability of a
-    :class:`~repro.netsim.lossy.LossyNetwork`; ``jitter`` the upper
-    bound of a uniform per-message latency (in round periods) driven by
-    the timed-round synchronizer. Both default to off (``0.0``), which
-    makes the netsim oracle a no-op — the shrinker exploits that to
-    discard the network leg when it is not load-bearing.
+    Each knob drives one leg of :class:`~repro.netsim.engine.TimedEngine`
+    on the scenario's workload: ``drop`` is the per-advert loss
+    probability of a :class:`~repro.netsim.delay.LossyDelay`; ``jitter``
+    the upper bound of a uniform per-message latency, in round periods
+    (:class:`~repro.netsim.delay.UniformDelay`). Both default to off
+    (``0.0``), which makes the netsim oracle a no-op — the shrinker
+    exploits that to discard the network leg when it is not load-bearing.
     """
 
     drop: float = 0.0
@@ -243,8 +244,9 @@ def _generate_adversary_scenario(
     parameter spec, and lets it shape the workload (``token_starvation``
     rings the merge cell with eager sources), pin config fields
     (``async_jitter`` pins ``engine="timed"`` + a jitter bound), and
-    restrict the engine choice (``rotating_target`` excludes the
-    array/sharded engines, whose target is baked into their layouts).
+    restrict the engine choice (``rotating_target`` draws only None,
+    reference or incremental; every engine honours relocation, but
+    widening the draw would remap the seed stream and the corpus).
     Background Bernoulli churn stays off — the ``stabilization-bound``
     oracle needs the *scripted* perturbation to be the last one — and
     the network legs stay disabled, as in the multi-commodity arm.

@@ -51,13 +51,14 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.arrays import HAVE_NUMPY
+from repro.core.system import System
 from repro.fuzz.generator import Scenario
 from repro.grid.topology import Grid
 from repro.monitors.invariants import check_containment, check_disjoint_membership
 from repro.monitors.recorder import MonitorViolation
 from repro.monitors.safety import check_safe
-from repro.netsim.lossy import LossyNetwork
-from repro.netsim.runtime import MessagePassingSystem
+from repro.netsim.delay import DelayModel, LossyDelay, UniformDelay
+from repro.netsim.engine import TimedEngine
 from repro.sim.seeding import derive_rng
 from repro.sim.simulator import (
     _make_source_policy,
@@ -151,19 +152,7 @@ class DifferentialOracle(Oracle):
     #: lockstep matrix is reference vs incremental.
     def _legs(self, scenario: Scenario) -> List[str]:
         legs = ["incremental"]
-        config = scenario.config
-        relocating = False
-        if config.adversary is not None:
-            from repro.adversary.scripts import parse_adversary_spec
-
-            relocating = parse_adversary_spec(config.adversary)[0] == (
-                "rotating_target"
-            )
-        if HAVE_NUMPY and not config.commodities and not relocating:
-            # The vectorized engine's packed arrays assume a fixed tid;
-            # scheduled target relocation is only supported by the
-            # reference and incremental engines (which the rotating
-            # adversary pins), so that class keeps a 2-way matrix.
+        if HAVE_NUMPY and not scenario.config.commodities:
             legs.append("vectorized")
         return legs
 
@@ -367,8 +356,10 @@ class NetworkOracle(Oracle):
     # -- construction ------------------------------------------------
 
     @staticmethod
-    def _workload(scenario: Scenario):
-        """(grid, tid, sources, failed-cells) mirroring the config."""
+    def _engine(
+        scenario: Scenario, delay_model: DelayModel, delay_stream: str
+    ) -> TimedEngine:
+        """A timed engine on a ``System`` mirroring the config's workload."""
         config = scenario.config
         grid = Grid(config.grid_width, config.grid_height)
         if config.path is not None:
@@ -379,53 +370,40 @@ class NetworkOracle(Oracle):
             tid = config.tid
             source_ids = config.sources
             failed = []
-        sources = {
-            cid: _make_source_policy(config.source_policy) for cid in source_ids
-        }
-        return grid, tid, sources, failed
+        system = System(
+            grid=grid,
+            params=config.params,
+            tid=tid,
+            sources={
+                cid: _make_source_policy(config.source_policy)
+                for cid in source_ids
+            },
+            token_policy=_make_token_policy(config.token_policy, config.seed),
+            rng=derive_rng(config.seed, "net-sources"),
+        )
+        for cid in failed:
+            system.fail(cid)
+        return TimedEngine(
+            system,
+            delay_model=delay_model,
+            delay_rng=derive_rng(config.seed, delay_stream),
+        )
 
     def _lossy_leg(self, scenario: Scenario) -> List[Violation]:
-        config = scenario.config
-        grid, tid, sources, failed = self._workload(scenario)
-        system = MessagePassingSystem(
-            grid=grid,
-            params=config.params,
-            tid=tid,
-            sources=sources,
-            token_policy=_make_token_policy(config.token_policy, config.seed),
-            rng=derive_rng(config.seed, "net-sources"),
-        )
-        system.network = LossyNetwork(
-            grid, scenario.net.drop, rng=derive_rng(config.seed, "net-loss")
-        )
-        for cid in failed:
-            system.fail(cid)
-        return self._degradation_rounds(scenario, system, "lossy")
+        engine = self._engine(scenario, LossyDelay(scenario.net.drop), "net-loss")
+        return self._degradation_rounds(scenario, engine, "lossy")
 
     def _jitter_leg(self, scenario: Scenario) -> List[Violation]:
-        from repro.asyncnet.delay import UniformDelay
-        from repro.asyncnet.timed_rounds import TimedRoundSystem
-
-        config = scenario.config
-        grid, tid, sources, failed = self._workload(scenario)
-        system = TimedRoundSystem(
-            grid=grid,
-            params=config.params,
-            tid=tid,
-            sources=sources,
-            delay_model=UniformDelay(0.0, scenario.net.jitter),
-            token_policy=_make_token_policy(config.token_policy, config.seed),
-            rng=derive_rng(config.seed, "net-sources"),
-            delay_rng=derive_rng(config.seed, "net-delay"),
+        engine = self._engine(
+            scenario, UniformDelay(0.0, scenario.net.jitter), "net-delay"
         )
-        for cid in failed:
-            system.fail(cid)
-        return self._degradation_rounds(scenario, system, "jitter")
+        return self._degradation_rounds(scenario, engine, "jitter")
 
     def _degradation_rounds(
-        self, scenario: Scenario, system, leg: str
+        self, scenario: Scenario, engine: TimedEngine, leg: str
     ) -> List[Violation]:
         violations: List[Violation] = []
+        system = engine.system
 
         def record(round_index: int, name: str, detail: str) -> None:
             violations.append(
@@ -433,10 +411,7 @@ class NetworkOracle(Oracle):
             )
 
         for round_index in range(scenario.net.rounds):
-            if hasattr(system, "run_round"):
-                system.run_round()
-            else:
-                system.update()
+            engine.step()
             for finding in check_safe(system):
                 record(round_index, "Safe", str(finding))
             for finding in check_containment(system):

@@ -1,7 +1,7 @@
 """Wire messages of the message-passing implementation.
 
-One paper round decomposes into three communication sub-rounds, each
-with its own message type (a fourth carries entity hand-offs):
+One paper round decomposes into four timed turns, each sending its own
+message type (the fourth carries entity hand-offs):
 
 1. :class:`RouteAdvert` — the sender's current ``dist`` estimate; the
    input to the receivers' Route computation.
@@ -37,14 +37,14 @@ class Message:
 
 @dataclass(frozen=True)
 class RouteAdvert(Message):
-    """Sub-round 1: the sender's dist estimate (None encodes infinity)."""
+    """Turn A: the sender's dist estimate (None encodes infinity)."""
 
     dist: Optional[float]
 
 
 @dataclass(frozen=True)
 class OccupancyAdvert(Message):
-    """Sub-round 2: the sender's next pointer and occupancy flag."""
+    """Turn B: the sender's next pointer and occupancy flag."""
 
     next_id: Optional[CellId]
     nonempty: bool
@@ -52,7 +52,7 @@ class OccupancyAdvert(Message):
 
 @dataclass(frozen=True)
 class GrantAdvert(Message):
-    """Sub-round 3: the sender's signal value (who may move toward it)."""
+    """Turn C: the sender's signal value (who may move toward it)."""
 
     signal: Optional[CellId]
 

@@ -1,23 +1,26 @@
 """The per-cell process of the message-passing implementation.
 
-A :class:`CellProcess` owns exactly the paper's per-cell variables
-(held in a :class:`~repro.core.cell.CellState`) and advances through the
-three communication sub-rounds of one paper round:
+A :class:`CellProcess` runs one cell's protocol over the cell's own
+:class:`~repro.core.cell.CellState` — the very object the ``System``
+holds, so ``System.fail`` / ``recover`` / ``seed_entity`` are the only
+environment transitions and the monitors read one truth. Each paper
+round it sends at one turn and computes from what arrived at the next:
 
-    advert_route    -> on_route       (Route,  from received dists)
-    advert_occupancy-> on_occupancy   (Signal, from received next/occupancy)
-    advert_grant    -> on_grant       (Move,   from the received grant)
-                       on_transfers   (accept entities handed over)
+    advert_route     -> on_route       (Route,  from received dists)
+    advert_occupancy -> on_occupancy   (Signal, from received next/occupancy)
+    advert_grant     -> on_grant       (Move,   from the received grant)
+                        on_transfers   (accept entities handed over)
 
-The computations reuse the *same* phase logic as the shared-variable
-model (``_route_step``-equivalent folding, ``gap_clear``), so any
-divergence between the two models is a protocol bug, not a re-coding
-artifact — and the bisimulation tests would catch it.
+Every inbox holds the messages of one turn, so it carries one message
+type. The computations reuse the *same* phase logic as the
+shared-variable model (``_route_step``-equivalent folding, ``gap_clear``),
+so any divergence between the two models is a protocol bug, not a
+re-coding artifact — and the lockstep tests would catch it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List
 
 from repro.core.cell import INFINITY, CellState
 from repro.core.entity import Entity
@@ -33,7 +36,9 @@ from repro.netsim.message import (
     OccupancyAdvert,
     RouteAdvert,
 )
-from repro.netsim.network import SynchronousNetwork
+
+#: How a process hands a message to the network.
+Send = Callable[[Message], None]
 
 
 class CellProcess:
@@ -41,22 +46,15 @@ class CellProcess:
 
     def __init__(
         self,
-        cell_id: CellId,
+        state: CellState,
         grid: Grid,
         params: Parameters,
-        is_target: bool,
         token_policy: TokenPolicy,
     ):
+        self.state = state
         self.grid = grid
         self.params = params
-        self.is_target = is_target
         self.token_policy = token_policy
-        self.state = CellState(cell_id=cell_id)
-        if is_target:
-            self.state.dist = 0.0
-        self.consumed_this_round: List[Entity] = []
-
-    # ------------------------------------------------------------------
 
     @property
     def cell_id(self) -> CellId:
@@ -66,41 +64,30 @@ class CellProcess:
     def failed(self) -> bool:
         return self.state.failed
 
-    def crash(self) -> None:
-        """Apply the fail transition to the local state."""
-        self.state.mark_failed()
-
-    def recover(self) -> None:
-        """Un-crash with cleared protocol state (target: dist = 0)."""
-        self.state.mark_recovered(is_target=self.is_target)
-
     # ------------------------------------------------------------------
-    # Sub-round 1: Route
+    # Route
     # ------------------------------------------------------------------
 
-    def advert_route(self, network: SynchronousNetwork) -> None:
-        """Sub-round 1 send: broadcast the current dist estimate."""
+    def advert_route(self, send: Send) -> None:
+        """Broadcast the current dist estimate (None encodes infinity)."""
         if self.failed:
             return
+        cid = self.cell_id
         dist = None if self.state.dist == INFINITY else self.state.dist
-        network.broadcast(
-            self.cell_id,
-            lambda dst: RouteAdvert(src=self.cell_id, dst=dst, dist=dist),
-        )
+        for dst in self.grid.neighbors(cid):
+            send(RouteAdvert(src=cid, dst=dst, dist=dist))
 
-    def on_route(self, inbox: Iterable[Message]) -> None:
-        """Sub-round 1 compute: Route from received dists (silence = infinity)."""
-        if self.failed or self.is_target:
+    def on_route(self, inbox: Iterable[RouteAdvert], is_target: bool) -> None:
+        """Route from received dists (silence = infinity); the target
+        keeps ``dist = 0``."""
+        if self.failed or is_target:
             return
         # Missing adverts read as infinity — silence is failure.
         dists: Dict[CellId, float] = {
             nbr: INFINITY for nbr in self.grid.neighbors(self.cell_id)
         }
         for message in inbox:
-            if isinstance(message, RouteAdvert):
-                dists[message.src] = (
-                    INFINITY if message.dist is None else message.dist
-                )
+            dists[message.src] = INFINITY if message.dist is None else message.dist
         best = min(sorted(dists), key=lambda n: (dists[n], n))
         if dists[best] == INFINITY:
             self.state.dist = INFINITY
@@ -110,33 +97,27 @@ class CellProcess:
             self.state.next_id = best
 
     # ------------------------------------------------------------------
-    # Sub-round 2: Signal
+    # Signal
     # ------------------------------------------------------------------
 
-    def advert_occupancy(self, network: SynchronousNetwork) -> None:
-        """Sub-round 2 send: broadcast next pointer and occupancy flag."""
+    def advert_occupancy(self, send: Send) -> None:
+        """Broadcast the next pointer and the occupancy flag."""
         if self.failed:
             return
-        network.broadcast(
-            self.cell_id,
-            lambda dst: OccupancyAdvert(
-                src=self.cell_id,
-                dst=dst,
-                next_id=self.state.next_id,
-                nonempty=bool(self.state.members),
-            ),
-        )
+        cid = self.cell_id
+        next_id = self.state.next_id
+        nonempty = bool(self.state.members)
+        for dst in self.grid.neighbors(cid):
+            send(OccupancyAdvert(src=cid, dst=dst, next_id=next_id, nonempty=nonempty))
 
-    def on_occupancy(self, inbox: Iterable[Message]) -> None:
-        """Sub-round 2 compute: NEPrev, token maintenance, and the grant."""
+    def on_occupancy(self, inbox: Iterable[OccupancyAdvert]) -> None:
+        """NEPrev, token maintenance, and the grant."""
         if self.failed:
             return
         ne_prev = {
             message.src
             for message in inbox
-            if isinstance(message, OccupancyAdvert)
-            and message.next_id == self.cell_id
-            and message.nonempty
+            if message.next_id == self.cell_id and message.nonempty
         }
         state = self.state
         state.ne_prev = ne_prev
@@ -155,23 +136,19 @@ class CellProcess:
             state.signal = None
 
     # ------------------------------------------------------------------
-    # Sub-round 3: Move + transfers
+    # Move + transfers
     # ------------------------------------------------------------------
 
-    def advert_grant(self, network: SynchronousNetwork) -> None:
-        """Sub-round 3 send: broadcast the signal (grant) value."""
+    def advert_grant(self, send: Send) -> None:
+        """Broadcast the signal (grant) value."""
         if self.failed:
             return
-        network.broadcast(
-            self.cell_id,
-            lambda dst: GrantAdvert(
-                src=self.cell_id, dst=dst, signal=self.state.signal
-            ),
-        )
+        cid = self.cell_id
+        signal = self.state.signal
+        for dst in self.grid.neighbors(cid):
+            send(GrantAdvert(src=cid, dst=dst, signal=signal))
 
-    def on_grant(
-        self, inbox: Iterable[Message], network: SynchronousNetwork
-    ) -> bool:
+    def on_grant(self, inbox: Iterable[GrantAdvert], send: Send) -> bool:
         """Apply Move if the next-hop's grant names this cell.
 
         Crossing entities leave the local membership immediately and ride
@@ -181,20 +158,17 @@ class CellProcess:
         if self.failed or self.state.next_id is None or not self.state.members:
             return False
         nxt = self.state.next_id
-        granted = any(
-            isinstance(message, GrantAdvert)
-            and message.src == nxt
-            and message.signal == self.cell_id
+        if not any(
+            message.src == nxt and message.signal == self.cell_id
             for message in inbox
-        )
-        if not granted:
+        ):
             return False
         toward = direction_between(self.cell_id, nxt)
         for entity in self.state.entities():
             entity.translate(toward, self.params.v)
             if crossed_boundary(entity, self.cell_id, toward, self.params.half_l):
                 self.state.remove_entity(entity.uid)
-                network.send(
+                send(
                     EntityTransferMessage(
                         src=self.cell_id,
                         dst=nxt,
@@ -205,18 +179,17 @@ class CellProcess:
                 )
         return True
 
-    def on_transfers(self, inbox: Iterable[Message]) -> List[Entity]:
+    def on_transfers(
+        self, inbox: Iterable[EntityTransferMessage], is_target: bool
+    ) -> List[Entity]:
         """Accept handed-over entities; the target consumes them.
 
-        Returns the entities consumed this round (empty for non-targets).
-        A crashed receiver ignores its mailbox — but the protocol
-        guarantees nothing is ever sent to one (no grant, no movement
-        toward it), which the runtime asserts.
+        Returns the entities consumed (empty for non-targets). The
+        protocol never sends to a crashed cell (no grant, no movement
+        toward it), so a transfer into one raises.
         """
-        self.consumed_this_round = []
+        consumed: List[Entity] = []
         for message in inbox:
-            if not isinstance(message, EntityTransferMessage):
-                continue
             if self.failed:
                 raise AssertionError(
                     f"entity {message.uid} was transferred into crashed cell "
@@ -229,10 +202,10 @@ class CellProcess:
                 birth_round=message.birth_round,
                 side=self.params.l,
             )
-            if self.is_target:
-                self.consumed_this_round.append(entity)
+            if is_target:
+                consumed.append(entity)
                 continue
             toward = direction_between(message.src, self.cell_id)
             entity.snap_to_entry_edge(self.cell_id, toward, self.params.half_l)
             self.state.add_entity(entity)
-        return self.consumed_this_round
+        return consumed

@@ -352,11 +352,12 @@ class IncrementalEngine(RoundEngine):
             self._mark_membership_change(entity.cell)
 
 
-# Imported here (not at the top) because the vectorized and sharded
-# engines subclass RoundEngine: by this point every name they need is
-# defined, so the circular module pairs resolve in either import order.
+# Imported here (not at the top) because the vectorized, timed and
+# sharded engines subclass RoundEngine: by this point every name they
+# need is defined, so the circular module pairs resolve in either
+# import order.
 from repro.sim.vectorized import VectorizedEngine  # noqa: E402
-from repro.sim.timed_engine import TimedEngine  # noqa: E402
+from repro.netsim.engine import TimedEngine  # noqa: E402
 from repro.shard.engine import ShardedEngine  # noqa: E402
 
 #: Registry of selectable engines (name -> class). ``docs/performance.md``

@@ -75,9 +75,6 @@ class VectorizedEngine(RoundEngine):
         #: which is ascending flat order).
         self._cell_ids: List[CellId] = list(system.cells)
         self._states = list(system.cells.values())
-        self._tid_flat = self.arrays.flat(system.tid)
-        self._target_mask = np.zeros(self.arrays.size, dtype=bool)
-        self._target_mask[self._tid_flat] = True
         self._chained_cell_observer = system.cell_observer
         system.cell_observer = self._on_cell_event
 
@@ -135,8 +132,10 @@ class VectorizedEngine(RoundEngine):
         """Whole-grid relaxation; write back only the changed cells."""
         arrays = self.arrays
         new_dist, new_next = route_relax(arrays)
-        # Route never touches failed cells or the target.
-        hold = arrays.failed | self._target_mask
+        # Route never touches failed cells or the target (read each
+        # round: ``System.relocate_target`` may have moved it).
+        hold = arrays.failed.copy()
+        hold[arrays.flat(self.system.tid)] = True
         new_dist = np.where(hold, arrays.dist, new_dist)
         new_next = np.where(hold, arrays.next, new_next)
 

@@ -342,6 +342,39 @@ class TestTimedEngine:
             reference.step()
             assert state_digest(timed.system) == state_digest(reference.system)
 
+    def test_fires_each_phase_once_per_round_in_order(self, monkeypatch):
+        """``route``, ``signal``, ``move`` and ``produce`` fire once per
+        round, in that order, so the monitors' Signal hook (predicate H,
+        Lemma 4) runs and every phase gets its share of the timings."""
+        from repro.monitors.recorder import MonitorSuite
+
+        hook_rounds = []
+        original = MonitorSuite._on_phase
+
+        def spy(self, phase, system):
+            if phase == "signal":
+                hook_rounds.append(system.round_index)
+            original(self, phase, system)
+
+        monkeypatch.setattr(MonitorSuite, "_on_phase", spy)
+        sim = build_simulation(
+            _config(engine="timed", jitter=0.5, rounds=100, monitors=True)
+        )
+        fired = []
+        chained = sim.system.phase_observer
+
+        def record(phase, system):
+            fired.append((system.round_index, phase))
+            chained(phase, system)
+
+        sim.system.phase_observer = record
+        result = sim.run()
+        phases = ("route", "signal", "move", "produce")
+        assert fired == [(r, p) for r in range(100) for p in phases]
+        assert hook_rounds == list(range(100))
+        assert result.monitor_violations == 0
+        assert all(result.phase_timings[p] > 0 for p in phases)
+
 
 class TestStabilizationSweep:
     def test_rows_within_bound_on_clean_tree(self):

@@ -1,86 +1,22 @@
-"""Tests for the asynchronous realization: event scheduler, delay models,
-and the timed-round synchronizer's equivalence/degradation properties."""
+"""Tests for the asynchronous realization: delay models, and the timed
+engine's equivalence/degradation properties."""
 
 import random
 
 import pytest
 
-from repro.asyncnet.delay import FixedDelay, HeavyTailDelay, UniformDelay
-from repro.asyncnet.eventsim import EventScheduler
-from repro.asyncnet.timed_rounds import TimedRoundSystem
 from repro.core.params import Parameters
 from repro.core.sources import EagerSource
 from repro.core.system import System
 from repro.grid.paths import straight_path, turns_path
 from repro.grid.topology import Direction, Grid
 from repro.monitors.safety import check_safe
+from repro.netsim.delay import FixedDelay, HeavyTailDelay, UniformDelay
+from repro.netsim.engine import TimedEngine
 from repro.netsim.message import RouteAdvert
 
 PARAMS = Parameters(l=0.25, rs=0.05, v=0.2)
 PATH = straight_path((1, 0), Direction.NORTH, 8)
-
-
-class TestEventScheduler:
-    def test_time_ordering(self):
-        scheduler = EventScheduler()
-        log = []
-        scheduler.schedule_at(2.0, lambda: log.append("b"))
-        scheduler.schedule_at(1.0, lambda: log.append("a"))
-        scheduler.schedule_at(3.0, lambda: log.append("c"))
-        scheduler.run_all()
-        assert log == ["a", "b", "c"]
-
-    def test_same_time_insertion_order(self):
-        scheduler = EventScheduler()
-        log = []
-        for name in "xyz":
-            scheduler.schedule_at(1.0, lambda n=name: log.append(n))
-        scheduler.run_all()
-        assert log == ["x", "y", "z"]
-
-    def test_past_scheduling_rejected(self):
-        scheduler = EventScheduler()
-        scheduler.schedule_at(5.0, lambda: None)
-        scheduler.step()
-        with pytest.raises(ValueError):
-            scheduler.schedule_at(1.0, lambda: None)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            EventScheduler().schedule_in(-1.0, lambda: None)
-
-    def test_run_until_partial(self):
-        scheduler = EventScheduler()
-        log = []
-        scheduler.schedule_at(1.0, lambda: log.append(1))
-        scheduler.schedule_at(2.0, lambda: log.append(2))
-        executed = scheduler.run_until(1.5)
-        assert executed == 1 and log == [1]
-        assert scheduler.now == 1.5
-        assert scheduler.pending == 1
-
-    def test_events_scheduling_events(self):
-        scheduler = EventScheduler()
-        log = []
-
-        def cascade():
-            log.append(scheduler.now)
-            if scheduler.now < 3:
-                scheduler.schedule_in(1.0, cascade)
-
-        scheduler.schedule_at(1.0, cascade)
-        scheduler.run_all()
-        assert log == [1.0, 2.0, 3.0]
-
-    def test_runaway_guard(self):
-        scheduler = EventScheduler()
-
-        def forever():
-            scheduler.schedule_in(0.1, forever)
-
-        scheduler.schedule_at(0.0, forever)
-        with pytest.raises(RuntimeError):
-            scheduler.run_all(max_events=100)
 
 
 class TestDelayModels:
@@ -114,21 +50,24 @@ class TestDelayModels:
         assert any(s > model.bound for s in samples)
 
 
-def build_async(delay_model, period=1.0, seed=0) -> TimedRoundSystem:
-    system = TimedRoundSystem(
+def build_async(delay_model, seed=0) -> TimedEngine:
+    system = System(
         grid=Grid(8),
         params=PARAMS,
         tid=PATH.target,
         sources={PATH.source: EagerSource()},
-        delay_model=delay_model,
-        period=period,
         rng=random.Random(seed),
-        delay_rng=random.Random(seed + 1),
     )
     for cid in Grid(8).cells():
         if cid not in PATH:
             system.fail(cid)
-    return system
+    return TimedEngine(
+        system, delay_model=delay_model, delay_rng=random.Random(seed + 1)
+    )
+
+
+def run(engine: TimedEngine, rounds: int) -> list:
+    return [engine.step() for _ in range(rounds)]
 
 
 def build_sync() -> System:
@@ -174,9 +113,9 @@ class TestBoundedDelayEquivalence:
         asynchronous = build_async(delay_model)
         synchronous = build_sync()
         for round_index in range(250):
-            asynchronous.run_round()
+            asynchronous.step()
             synchronous.update()
-            assert fingerprint(asynchronous.cells) == fingerprint(
+            assert fingerprint(asynchronous.system.cells) == fingerprint(
                 synchronous.cells
             ), f"diverged at round {round_index}"
         assert asynchronous.late_adverts == 0
@@ -184,39 +123,34 @@ class TestBoundedDelayEquivalence:
     def test_lockstep_on_turning_path_with_faults(self):
         path = turns_path((0, 0), 8, 2)
 
-        def build_on(cls_builder):
-            system = cls_builder()
+        def build():
+            system = System(
+                grid=Grid(8),
+                params=PARAMS,
+                tid=path.target,
+                sources={path.source: EagerSource()},
+                rng=random.Random(0),
+            )
+            for cid in Grid(8).cells():
+                if cid not in path:
+                    system.fail(cid)
             return system
 
-        asynchronous = TimedRoundSystem(
-            grid=Grid(8),
-            params=PARAMS,
-            tid=path.target,
-            sources={path.source: EagerSource()},
+        asynchronous = TimedEngine(
+            build(),
             delay_model=UniformDelay(0.1, 0.9),
-            rng=random.Random(0),
             delay_rng=random.Random(9),
         )
-        synchronous = System(
-            grid=Grid(8),
-            params=PARAMS,
-            tid=path.target,
-            sources={path.source: EagerSource()},
-            rng=random.Random(0),
-        )
-        for cid in Grid(8).cells():
-            if cid not in path:
-                asynchronous.fail(cid)
-                synchronous.fail(cid)
+        synchronous = build()
         plan = {40: ("fail", path.cells[4]), 120: ("recover", path.cells[4])}
         for round_index in range(300):
             if round_index in plan:
                 kind, cell = plan[round_index]
-                getattr(asynchronous, kind)(cell)
+                getattr(asynchronous.system, kind)(cell)
                 getattr(synchronous, kind)(cell)
-            asynchronous.run_round()
+            asynchronous.step()
             synchronous.update()
-            assert fingerprint(asynchronous.cells) == fingerprint(
+            assert fingerprint(asynchronous.system.cells) == fingerprint(
                 synchronous.cells
             ), f"diverged at round {round_index}"
 
@@ -233,9 +167,9 @@ class TestPeriodBoundary:
         asynchronous = build_async(FixedDelay(1.0))
         synchronous = build_sync()
         for round_index in range(250):
-            asynchronous.run_round()
+            asynchronous.step()
             synchronous.update()
-            assert fingerprint(asynchronous.cells) == fingerprint(
+            assert fingerprint(asynchronous.system.cells) == fingerprint(
                 synchronous.cells
             ), f"diverged at round {round_index}"
         assert asynchronous.late_adverts == 0
@@ -245,11 +179,12 @@ class TestPeriodBoundary:
         and is dropped as stale — counted, never applied."""
         asynchronous = build_async(FixedDelay(1.0 + 1e-6))
         for _ in range(100):
-            asynchronous.run_round()
-            assert check_safe(asynchronous) == []
+            asynchronous.step()
+            system = asynchronous.system
+            assert check_safe(system) == []
             assert (
-                asynchronous.total_produced
-                == asynchronous.total_consumed + asynchronous.entity_count()
+                system.total_produced
+                == system.total_consumed + system.entity_count()
             )
         assert asynchronous.late_adverts > 0
 
@@ -259,9 +194,9 @@ class TestPeriodBoundary:
         asynchronous = build_async(UniformDelay(0.9, 1.0))
         synchronous = build_sync()
         for round_index in range(250):
-            asynchronous.run_round()
+            asynchronous.step()
             synchronous.update()
-            assert fingerprint(asynchronous.cells) == fingerprint(
+            assert fingerprint(asynchronous.system.cells) == fingerprint(
                 synchronous.cells
             ), f"diverged at round {round_index}"
         assert asynchronous.late_adverts == 0
@@ -271,11 +206,12 @@ class TestPeriodBoundary:
         discarded — safety and conservation hold, late adverts count up."""
         asynchronous = build_async(UniformDelay(0.5, 1.5))
         for _ in range(200):
-            asynchronous.run_round()
-            assert check_safe(asynchronous) == []
+            asynchronous.step()
+            system = asynchronous.system
+            assert check_safe(system) == []
             assert (
-                asynchronous.total_produced
-                == asynchronous.total_consumed + asynchronous.entity_count()
+                system.total_produced
+                == system.total_consumed + system.entity_count()
             )
         assert asynchronous.late_adverts > 0
 
@@ -283,17 +219,18 @@ class TestPeriodBoundary:
 class TestDelayBoundViolations:
     def test_late_adverts_detected_and_dropped(self):
         model = HeavyTailDelay(0.2, 0.9, tail_p=0.1, tail_factor=4)
-        system = build_async(model)
-        system.run(300)
-        assert system.late_adverts > 0
+        engine = build_async(model)
+        run(engine, 300)
+        assert engine.late_adverts > 0
 
     def test_safety_survives_bound_violations(self):
         """Tail latencies beyond the engineered bound degrade throughput,
         never separation (late adverts read conservatively)."""
         model = HeavyTailDelay(0.2, 0.9, tail_p=0.2, tail_factor=6)
-        system = build_async(model)
+        engine = build_async(model)
+        system = engine.system
         for _ in range(400):
-            system.run_round()
+            engine.step()
             assert check_safe(system) == []
             assert (
                 system.total_produced
@@ -304,13 +241,11 @@ class TestDelayBoundViolations:
         results = []
         for tail_p in (0.0, 0.2, 0.5):
             model = HeavyTailDelay(0.2, 0.9, tail_p=tail_p, tail_factor=6)
-            system = build_async(model)
-            consumed = sum(r.consumed_count for r in system.run(500))
+            consumed = sum(r.consumed_count for r in run(build_async(model), 500))
             results.append(consumed)
         assert results[0] > results[1] > results[2]
 
     def test_still_delivers_under_moderate_tails(self):
         model = HeavyTailDelay(0.2, 0.9, tail_p=0.1, tail_factor=4)
-        system = build_async(model)
-        consumed = sum(r.consumed_count for r in system.run(600))
+        consumed = sum(r.consumed_count for r in run(build_async(model), 600))
         assert consumed > 0

@@ -122,13 +122,61 @@ def test_lockstep_digests_are_reproducible():
 
 
 # ----------------------------------------------------------------------
+# Environment transitions between rounds, on every engine
+# ----------------------------------------------------------------------
+
+
+def test_every_engine_honours_seeding_and_relocation():
+    """Every registered engine stays in lockstep with the reference, with
+    strict monitors on, through an entity seeded between rounds (what
+    serve ``arrive`` does: its uid must not be reused by the next
+    production) and a target relocation (serve ``relocate``, the
+    ``rotating_target`` adversary: Route must follow the new target)."""
+    from repro.core.arrays import HAVE_NUMPY
+
+    config = SimulationConfig(
+        grid_width=6,
+        params=Parameters(l=0.25, rs=0.05, v=0.2),
+        rounds=400,
+        tid=(5, 5),
+        sources=((0, 0),),
+        seed=3,
+        shards=2,
+    )
+    names = [n for n in ENGINES if n != "reference"]
+    if not HAVE_NUMPY:
+        names.remove("vectorized")
+    reference = build_simulation(config, engine="reference")
+    others = {name: build_simulation(config, engine=name) for name in names}
+    sims = [reference, *others.values()]
+    try:
+        for round_index in range(config.rounds):
+            for sim in sims:
+                if round_index == 10:
+                    sim.system.seed_entity((3, 0), 3.5, 0.5)
+                if round_index == 60:
+                    sim.system.relocate_target((5, 0))
+                sim.step()
+            expected = state_digest(reference.system)
+            for name, sim in others.items():
+                assert state_digest(sim.system) == expected, (
+                    f"{name} diverged from reference at round {round_index}"
+                )
+    finally:
+        for sim in sims:
+            sim.engine.close()
+    assert reference.system.tid == (5, 0)
+    assert reference.system.total_consumed > 20
+
+
+# ----------------------------------------------------------------------
 # Engine selection and registry
 # ----------------------------------------------------------------------
 
 
 def test_registry_contents():
     from repro.shard.engine import ShardedEngine
-    from repro.sim.timed_engine import TimedEngine
+    from repro.netsim.engine import TimedEngine
 
     assert ENGINES == {
         "reference": ReferenceEngine,

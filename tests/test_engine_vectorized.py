@@ -116,14 +116,6 @@ def test_corpus_replays_identically_under_vectorized(path):
     scenario = Scenario.from_dict(record["scenario"])
     if scenario.config.commodities:
         pytest.skip("vectorized engine has no multi-commodity support")
-    if scenario.config.adversary is not None:
-        from repro.adversary.scripts import parse_adversary_spec
-
-        if parse_adversary_spec(scenario.config.adversary)[0] == "rotating_target":
-            # Same gate as the differential oracle: the packed arrays
-            # assume a fixed target cell, so relocation scenarios run
-            # only on the object engines.
-            pytest.skip("vectorized engine does not support target relocation")
     config = replace(scenario.config, monitors=False)
     run_lockstep(config, engine_b="vectorized")
 

@@ -2,16 +2,14 @@
 against the shared-variable model.
 
 The headline property: for any workload and any fault schedule, the
-message-passing system and the shared-variable system are in the *same
-state after every round* — the three-sub-round broadcast implementation
+timed message-passing engine and the shared-variable system are in the
+*same state after every round* — the per-turn broadcast implementation
 realizes exactly the semantics the paper's shared-variable model
 specifies.
 """
 
-import math
 import random
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +20,8 @@ from repro.core.system import System
 from repro.faults.model import BernoulliFaultModel
 from repro.grid.paths import straight_path, turns_path
 from repro.grid.topology import Direction, Grid
-from repro.monitors.recorder import MonitorSuite
-from repro.netsim.message import EntityTransferMessage, RouteAdvert
-from repro.netsim.network import SynchronousNetwork
-from repro.netsim.runtime import MessagePassingSystem
+from repro.netsim.engine import TimedEngine
+from repro.netsim.message import RouteAdvert
 
 PARAMS = Parameters(l=0.25, rs=0.05, v=0.2)
 
@@ -50,122 +46,123 @@ def state_fingerprint(cells) -> dict:
     return fingerprint
 
 
+def build_system(grid, tid, sources, failed=()) -> System:
+    system = System(
+        grid=grid,
+        params=PARAMS,
+        tid=tid,
+        sources={cid: EagerSource() for cid in sources},
+        rng=random.Random(0),
+    )
+    for cid in failed:
+        system.fail(cid)
+    return system
+
+
 def build_pair(path_cells, sources=None):
-    """The same workload on both implementations."""
+    """The same workload on the shared-variable System and on a timed
+    engine driving a second System."""
     grid = Grid(8)
-    sources = sources or {path_cells[0]: "eager"}
-    shared = System(
-        grid=grid,
-        params=PARAMS,
-        tid=path_cells[-1],
-        sources={cid: EagerSource() for cid in sources},
-        rng=random.Random(0),
-    )
-    passing = MessagePassingSystem(
-        grid=grid,
-        params=PARAMS,
-        tid=path_cells[-1],
-        sources={cid: EagerSource() for cid in sources},
-        rng=random.Random(0),
-    )
-    for cid in grid.cells():
-        if cid not in set(path_cells):
-            shared.fail(cid)
-            passing.fail(cid)
+    sources = sources or [path_cells[0]]
+    failed = [cid for cid in grid.cells() if cid not in set(path_cells)]
+    shared = build_system(grid, path_cells[-1], sources, failed)
+    passing = TimedEngine(build_system(grid, path_cells[-1], sources, failed))
     return shared, passing
 
 
-class TestNetworkSubstrate:
-    def test_non_neighbor_send_rejected(self):
-        network = SynchronousNetwork(Grid(4))
-        with pytest.raises(ValueError):
-            network.send(RouteAdvert(src=(0, 0), dst=(2, 0), dist=1.0))
+class RecordingEngine(TimedEngine):
+    """A timed engine that also keeps every message it sends."""
 
+    def __init__(self, system):
+        super().__init__(system)
+        self.sent = []
+
+    def _send(self, message):
+        self.sent.append(message)
+        super()._send(message)
+
+
+CORRIDOR = straight_path((1, 0), Direction.NORTH, 8)
+
+
+class TestNetworkSubstrate:
     def test_crashed_sender_suppressed(self):
-        network = SynchronousNetwork(Grid(4))
-        network.set_crashed({(0, 0)})
-        network.send(RouteAdvert(src=(0, 0), dst=(0, 1), dist=1.0))
-        assert network.stats.suppressed_from_crashed == 1
-        assert network.deliver() == {}
+        """A crashed cell never communicates: it sends nothing at all."""
+        engine = RecordingEngine(build_system(Grid(4), (3, 3), [(0, 0)]))
+        engine.system.fail((1, 1))
+        engine.step()
+        assert engine.sent
+        assert all(message.src != (1, 1) for message in engine.sent)
 
     def test_delivery_clears_queue(self):
-        network = SynchronousNetwork(Grid(4))
-        network.send(RouteAdvert(src=(0, 0), dst=(0, 1), dist=1.0))
-        assert network.in_flight == 1
-        inboxes = network.deliver()
-        assert network.in_flight == 0
-        assert len(inboxes[(0, 1)]) == 1
+        """Every message sent in a round is consumed in that round."""
+        engine = TimedEngine(build_system(Grid(4), (3, 3), [(0, 0)]))
+        for _ in range(20):
+            engine.step()
+            assert engine._inboxes == {}
+        assert sum(engine.sent_by_type.values()) > 0
 
     def test_broadcast_reaches_all_neighbors(self):
-        network = SynchronousNetwork(Grid(4))
-        network.broadcast(
-            (1, 1), lambda dst: RouteAdvert(src=(1, 1), dst=dst, dist=2.0)
-        )
-        inboxes = network.deliver()
-        assert set(inboxes) == {(0, 1), (2, 1), (1, 0), (1, 2)}
+        engine = RecordingEngine(build_system(Grid(4), (3, 3), [(0, 0)]))
+        engine.step()
+        route_adverts = {
+            message.dst
+            for message in engine.sent
+            if isinstance(message, RouteAdvert) and message.src == (1, 1)
+        }
+        assert route_adverts == {(0, 1), (2, 1), (1, 0), (1, 2)}
+        # The protocol only ever talks to adjacent cells.
+        grid = engine.system.grid
+        assert all(grid.are_neighbors(m.src, m.dst) for m in engine.sent)
 
     def test_stats_by_type(self):
-        network = SynchronousNetwork(Grid(4))
-        network.send(RouteAdvert(src=(0, 0), dst=(0, 1), dist=None))
-        network.send(
-            EntityTransferMessage(
-                src=(0, 0), dst=(1, 0), uid=1, position=(0.9, 0.5), birth_round=0
-            )
+        """Sent messages are counted by type; every landed transfer was
+        one EntityTransferMessage."""
+        _, passing = build_pair(CORRIDOR.cells)
+        transfers = sum(len(passing.step().move.transfers) for _ in range(60))
+        degree_sum = sum(
+            len(passing.system.grid.neighbors(cid))
+            for cid in passing.system.non_faulty_cells()
         )
-        assert network.stats.sent_by_type == {
-            "RouteAdvert": 1,
-            "EntityTransferMessage": 1,
+        assert passing.sent_by_type == {
+            "RouteAdvert": 60 * degree_sum,
+            "OccupancyAdvert": 60 * degree_sum,
+            "GrantAdvert": 60 * degree_sum,
+            "EntityTransferMessage": transfers,
         }
-        assert network.stats.total_sent == 2
-
-    def test_delivered_history_bounded(self):
-        network = SynchronousNetwork(Grid(4), history_limit=5)
-        for _ in range(12):
-            network.send(RouteAdvert(src=(0, 0), dst=(0, 1), dist=1.0))
-            network.deliver()
-        assert len(network.stats.delivered_history) == 5
-        assert network.stats.delivered == 12  # aggregate stays exact
-
-    def test_delivered_history_opt_out(self):
-        network = SynchronousNetwork(Grid(4), history_limit=None)
-        for _ in range(12):
-            network.deliver()
-        assert len(network.stats.delivered_history) == 12
-
-    def test_history_limit_validation(self):
-        with pytest.raises(ValueError):
-            SynchronousNetwork(Grid(4), history_limit=0)
+        assert transfers > 0
 
 
 class TestMessagePassingBasics:
     def test_corridor_delivers(self):
-        _, passing = build_pair(straight_path((1, 0), Direction.NORTH, 8).cells)
-        consumed = sum(passing.update().consumed_count for _ in range(400))
+        _, passing = build_pair(CORRIDOR.cells)
+        consumed = sum(passing.step().consumed_count for _ in range(400))
         assert consumed > 0
-        assert passing.total_consumed == consumed
+        assert passing.system.total_consumed == consumed
 
     def test_message_cost_per_round(self):
         """Each live cell sends 3 adverts per neighbor per round (plus
         transfers): communication cost is measurable and bounded."""
-        _, passing = build_pair(straight_path((1, 0), Direction.NORTH, 8).cells)
-        report = passing.update()
-        # 8 live cells in a column: 2 ends with 1 live neighbor... every
-        # live cell broadcasts to all 2-4 lattice neighbors (crashed
-        # neighbors included — sender doesn't know), 3 advert types.
+        _, passing = build_pair(CORRIDOR.cells)
+        passing.step()
+        # Every live cell broadcasts to all 2-4 lattice neighbors
+        # (crashed neighbors included — the sender doesn't know), 3
+        # advert types.
         expected_adverts = 3 * sum(
-            len(passing.grid.neighbors(cid)) for cid in passing.non_faulty_cells()
+            len(passing.system.grid.neighbors(cid))
+            for cid in passing.system.non_faulty_cells()
         )
-        assert report.messages_sent == expected_adverts + 0  # no transfers yet
+        # No transfers yet: adverts are the whole first round.
+        assert sum(passing.sent_by_type.values()) == expected_adverts
 
     def test_monitor_suite_works_on_cells_view(self):
-        """The monitors accept the message-passing system through its
-        ``cells`` view."""
+        """The monitors read the System the engine runs on."""
         from repro.monitors.safety import check_safe
 
-        _, passing = build_pair(straight_path((1, 0), Direction.NORTH, 8).cells)
+        _, passing = build_pair(CORRIDOR.cells)
         for _ in range(200):
-            passing.update()
-            assert check_safe(passing) == []
+            passing.step()
+            assert check_safe(passing.system) == []
 
 
 class TestBisimulation:
@@ -175,19 +172,19 @@ class TestBisimulation:
                 for kind, cid in fault_plan.get(round_index, []):
                     if kind == "fail":
                         shared.fail(cid)
-                        passing.fail(cid)
+                        passing.system.fail(cid)
                     else:
                         shared.recover(cid)
-                        passing.recover(cid)
+                        passing.system.recover(cid)
             shared_report = shared.update()
-            passing_report = passing.update()
+            passing_report = passing.step()
             assert state_fingerprint(shared.cells) == state_fingerprint(
-                passing.cells
+                passing.system.cells
             ), f"models diverged at round {round_index}"
             assert shared_report.consumed_count == passing_report.consumed_count
 
     def test_straight_corridor_lockstep(self):
-        shared, passing = build_pair(straight_path((1, 0), Direction.NORTH, 8).cells)
+        shared, passing = build_pair(CORRIDOR.cells)
         self.assert_lockstep(shared, passing, rounds=300)
 
     def test_turning_corridor_lockstep(self):
@@ -215,12 +212,12 @@ class TestBisimulation:
             sources={(0, 0): EagerSource(), (4, 4): EagerSource()},
         )
         shared = System(rng=random.Random(0), **kwargs)
-        passing = MessagePassingSystem(rng=random.Random(0), **kwargs)
+        passing = TimedEngine(System(rng=random.Random(0), **kwargs))
         for round_index in range(250):
             shared.update()
-            passing.update()
+            passing.step()
             assert state_fingerprint(shared.cells) == state_fingerprint(
-                passing.cells
+                passing.system.cells
             ), f"diverged at round {round_index}"
 
     @settings(
@@ -239,7 +236,7 @@ class TestBisimulation:
             grid=grid, params=PARAMS, tid=(2, 4), sources={(2, 0): EagerSource()}
         )
         shared = System(rng=random.Random(0), **kwargs)
-        passing = MessagePassingSystem(rng=random.Random(0), **kwargs)
+        passing = TimedEngine(System(rng=random.Random(0), **kwargs))
         model = BernoulliFaultModel(pf=pf, pr=pr)
         rng = random.Random(seed)
         for round_index in range(80):
@@ -251,12 +248,12 @@ class TestBisimulation:
             )
             for cid in sorted(decision.fail):
                 shared.fail(cid)
-                passing.fail(cid)
+                passing.system.fail(cid)
             for cid in sorted(decision.recover):
                 shared.recover(cid)
-                passing.recover(cid)
+                passing.system.recover(cid)
             shared.update()
-            passing.update()
+            passing.step()
             assert state_fingerprint(shared.cells) == state_fingerprint(
-                passing.cells
+                passing.system.cells
             ), f"diverged at round {round_index}"

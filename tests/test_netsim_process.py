@@ -1,10 +1,12 @@
 """Direct unit tests of ``CellProcess`` — the per-cell protocol logic
-driven with hand-built messages (no runtime, no network)."""
+driven with hand-built messages (no engine, no network)."""
 
 import math
 
 import pytest
 
+from repro.core.cell import CellState
+from repro.core.entity import Entity
 from repro.core.params import Parameters
 from repro.core.policies import RoundRobinTokenPolicy
 from repro.grid.topology import Grid
@@ -14,7 +16,6 @@ from repro.netsim.message import (
     OccupancyAdvert,
     RouteAdvert,
 )
-from repro.netsim.network import SynchronousNetwork
 from repro.netsim.process import CellProcess
 
 PARAMS = Parameters(l=0.25, rs=0.05, v=0.2)
@@ -22,13 +23,10 @@ GRID = Grid(3)
 
 
 def make_process(cell_id=(1, 1), is_target=False) -> CellProcess:
-    return CellProcess(
-        cell_id=cell_id,
-        grid=GRID,
-        params=PARAMS,
-        is_target=is_target,
-        token_policy=RoundRobinTokenPolicy(),
-    )
+    state = CellState(cell_id=cell_id)
+    if is_target:
+        state.dist = 0.0
+    return CellProcess(state, GRID, PARAMS, RoundRobinTokenPolicy())
 
 
 class TestOnRoute:
@@ -39,13 +37,13 @@ class TestOnRoute:
             RouteAdvert(src=(2, 1), dst=(1, 1), dist=1.0),
             RouteAdvert(src=(1, 0), dst=(1, 1), dist=None),
         ]
-        process.on_route(inbox)
+        process.on_route(inbox, is_target=False)
         assert process.state.dist == 2.0
         assert process.state.next_id == (2, 1)
 
     def test_silence_reads_as_infinity(self):
         process = make_process()
-        process.on_route([])  # nobody advertised
+        process.on_route([], is_target=False)  # nobody advertised
         assert math.isinf(process.state.dist)
         assert process.state.next_id is None
 
@@ -55,18 +53,22 @@ class TestOnRoute:
             RouteAdvert(src=(2, 1), dst=(1, 1), dist=2.0),
             RouteAdvert(src=(0, 1), dst=(1, 1), dist=2.0),
         ]
-        process.on_route(inbox)
+        process.on_route(inbox, is_target=False)
         assert process.state.next_id == (0, 1)
 
     def test_target_ignores_route(self):
         process = make_process(is_target=True)
-        process.on_route([RouteAdvert(src=(0, 1), dst=(1, 1), dist=5.0)])
+        process.on_route(
+            [RouteAdvert(src=(0, 1), dst=(1, 1), dist=5.0)], is_target=True
+        )
         assert process.state.dist == 0.0
 
     def test_failed_process_computes_nothing(self):
         process = make_process()
-        process.crash()
-        process.on_route([RouteAdvert(src=(0, 1), dst=(1, 1), dist=1.0)])
+        process.state.mark_failed()
+        process.on_route(
+            [RouteAdvert(src=(0, 1), dst=(1, 1), dist=1.0)], is_target=False
+        )
         assert math.isinf(process.state.dist)
 
 
@@ -93,8 +95,6 @@ class TestOnOccupancy:
     def test_blocked_by_own_members(self):
         process = make_process()
         # Occupy the west strip: an entity 0.1 from the west edge.
-        from repro.core.entity import Entity
-
         process.state.add_entity(Entity(uid=1, x=1.2, y=1.5))
         inbox = [
             OccupancyAdvert(src=(0, 1), dst=(1, 1), next_id=(1, 1), nonempty=True),
@@ -106,46 +106,40 @@ class TestOnOccupancy:
 
 class TestOnGrant:
     def test_moves_only_with_matching_grant(self):
-        from repro.core.entity import Entity
-
-        network = SynchronousNetwork(GRID)
+        sent = []
         process = make_process()
         process.state.next_id = (2, 1)
         process.state.add_entity(Entity(uid=1, x=1.5, y=1.5))
         moved = process.on_grant(
-            [GrantAdvert(src=(2, 1), dst=(1, 1), signal=(1, 1))], network
+            [GrantAdvert(src=(2, 1), dst=(1, 1), signal=(1, 1))], sent.append
         )
         assert moved
         assert process.state.members[1].x == pytest.approx(1.7)
+        assert sent == []  # moved, but nothing crossed
 
     def test_grant_for_someone_else_ignored(self):
-        from repro.core.entity import Entity
-
-        network = SynchronousNetwork(GRID)
+        sent = []
         process = make_process()
         process.state.next_id = (2, 1)
         process.state.add_entity(Entity(uid=1, x=1.5, y=1.5))
         moved = process.on_grant(
-            [GrantAdvert(src=(2, 1), dst=(1, 1), signal=(1, 0))], network
+            [GrantAdvert(src=(2, 1), dst=(1, 1), signal=(1, 0))], sent.append
         )
         assert not moved
         assert process.state.members[1].x == 1.5
 
     def test_crossing_sends_transfer(self):
-        from repro.core.entity import Entity
-
-        network = SynchronousNetwork(GRID)
+        sent = []
         process = make_process()
         process.state.next_id = (2, 1)
         process.state.add_entity(Entity(uid=1, x=1.8, y=1.5))
         process.on_grant(
-            [GrantAdvert(src=(2, 1), dst=(1, 1), signal=(1, 1))], network
+            [GrantAdvert(src=(2, 1), dst=(1, 1), signal=(1, 1))], sent.append
         )
         assert 1 not in process.state.members
-        inboxes = network.deliver()
-        (message,) = inboxes[(2, 1)]
+        (message,) = sent
         assert isinstance(message, EntityTransferMessage)
-        assert message.uid == 1
+        assert (message.uid, message.dst) == (1, (2, 1))
 
 
 class TestOnTransfers:
@@ -154,7 +148,7 @@ class TestOnTransfers:
         message = EntityTransferMessage(
             src=(0, 1), dst=(1, 1), uid=7, position=(1.05, 1.4), birth_round=3
         )
-        consumed = process.on_transfers([message])
+        consumed = process.on_transfers([message], is_target=False)
         assert consumed == []
         entity = process.state.members[7]
         assert entity.x == pytest.approx(1.125)  # flush on the west edge
@@ -166,15 +160,15 @@ class TestOnTransfers:
         message = EntityTransferMessage(
             src=(0, 1), dst=(1, 1), uid=7, position=(1.05, 1.4), birth_round=3
         )
-        consumed = process.on_transfers([message])
+        consumed = process.on_transfers([message], is_target=True)
         assert [entity.uid for entity in consumed] == [7]
         assert process.state.members == {}
 
     def test_transfer_into_crashed_cell_is_a_protocol_violation(self):
         process = make_process()
-        process.crash()
+        process.state.mark_failed()
         message = EntityTransferMessage(
             src=(0, 1), dst=(1, 1), uid=7, position=(1.05, 1.4), birth_round=3
         )
         with pytest.raises(AssertionError, match="crashed"):
-            process.on_transfers([message])
+            process.on_transfers([message], is_target=False)
