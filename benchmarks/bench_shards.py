@@ -1,23 +1,27 @@
 """Sharded-engine throughput: rounds/s vs district count at 64x64 and
-256x256, against the full-sweep reference.
+256x256, against the full-sweep reference and against the incremental
+engine, which skips the same quiescent cells in one process.
 
-The sharded engine is a *robustness* engine, not a speed engine: its
-round cost is the reference sweep split across worker processes plus
-per-round boundary serialization and the coordinator's global merge.
-This benchmark records where that overhead sits (the committed
-``BENCH_shards.json`` trajectory file) and gates only against
-pathology: 1-shard mode — the degenerate fleet, pure
-coordination overhead — must stay within an order of magnitude of the
-reference (>= ``ONE_SHARD_GATE`` of its rounds/s on the 64x64 grid).
-Shard-count *correctness* invariance is proven elsewhere
-(``tests/test_shard_engine.py``); here both legs just spot-check the
-shared-horizon consumed count.
+Each district worker re-evaluates only its dirty cells (the rules of
+``repro.core.dirty``) and replies with changes only, so on this
+corridor a round's work follows the few cells that change, not the
+grid's area. What remains is coordination: three pickled exchanges per
+shard per round, full-rim ghosts, and the coordinator's global merge.
+``vs_reference`` says what sharding buys over the full sweep;
+``vs_incremental`` says what the coordination costs against the engine
+that does the same per-cell work with none of it. The committed
+``BENCH_shards.json`` records both. The gate is only against
+pathology: 1-shard mode — the degenerate fleet, pure coordination
+overhead — must reach ``ONE_SHARD_GATE`` of the reference's rounds/s
+on the 64x64 grid. Shard-count *correctness* invariance is proven
+elsewhere (``tests/test_shard_engine.py``); here every leg just
+spot-checks the shared-horizon consumed count.
 
 Methodology matches ``bench_vectorized.py``: the straight-corridor
 scaling workload, ``engine.step()`` timed directly (simulator probes
 are O(N^2) Python per round and would drown the engine delta), and
-fleet spawn/teardown excluded from the timed window by stepping once
-before the clock starts.
+fleet spawn/teardown and each engine's first full sweep excluded from
+the timed window by stepping once before the clock starts.
 """
 
 from __future__ import annotations
@@ -71,13 +75,19 @@ def _timed_steps(n: int, engine: str, shards=None) -> dict:
 
 def _grid_entry(n: int) -> dict:
     reference = _timed_steps(n, "reference")
-    entry = {"grid": n, "reference": reference, "sharded": []}
+    incremental = _timed_steps(n, "incremental")
+    assert incremental["consumed"] == reference["consumed"]
+    entry = {
+        "grid": n,
+        "reference": reference,
+        "incremental": incremental,
+        "sharded": [],
+    }
     for shards in SHARD_COUNTS:
         leg = _timed_steps(n, "sharded", shards=shards)
         leg["shards"] = shards
-        leg["vs_reference"] = (
-            leg["rounds_per_sec"] / reference["rounds_per_sec"]
-        )
+        for name, baseline in (("reference", reference), ("incremental", incremental)):
+            leg[f"vs_{name}"] = leg["rounds_per_sec"] / baseline["rounds_per_sec"]
         # Identical consumed over the identical horizon — the invariance
         # the lockstep matrix proves, spot-checked per leg.
         assert leg["consumed"] == reference["consumed"]
@@ -104,12 +114,17 @@ def test_shard_scaling(benchmark, results_dir):
     ratios = {}
     for entry in record["entries"]:
         ref = entry["reference"]["rounds_per_sec"]
-        print(f"\nN={entry['grid']}: reference {ref:.1f} r/s")
+        inc = entry["incremental"]["rounds_per_sec"]
+        print(
+            f"\nN={entry['grid']}: reference {ref:.1f} r/s, "
+            f"incremental {inc:.1f} r/s"
+        )
         for leg in entry["sharded"]:
             ratios[(entry["grid"], leg["shards"])] = leg["vs_reference"]
             print(
                 f"  sharded@{leg['shards']}: {leg['rounds_per_sec']:.1f} r/s "
-                f"({leg['vs_reference']:.2f}x reference)"
+                f"({leg['vs_reference']:.2f}x reference, "
+                f"{leg['vs_incremental']:.2f}x incremental)"
             )
 
     one_shard = ratios[(ONE_SHARD_GATE_GRID, 1)]

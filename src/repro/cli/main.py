@@ -36,7 +36,7 @@ from repro.analysis.tables import format_series_table
 from repro.core.params import Parameters
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.grid.paths import straight_path, turns_path
-from repro.grid.topology import Direction
+from repro.grid.topology import Direction, Grid
 from repro.multiflow.commodities import default_commodities
 from repro.multiflow.workload import WORKLOAD_PROFILES
 from repro.sim.config import FaultSpec, SimulationConfig
@@ -108,10 +108,21 @@ def _build_config(args: argparse.Namespace) -> SimulationConfig:
         )
     if args.workload is not None:
         raise SystemExit("--workload requires --commodities")
-    if args.turns > 0:
-        path = turns_path((0, 0), args.length, args.turns)
-    else:
-        path = straight_path((1, 0), Direction.NORTH, args.length)
+    try:
+        grid = Grid(args.grid)
+        if args.turns > 0:
+            path = turns_path((0, 0), args.length, args.turns)
+        else:
+            path = straight_path((1, 0), Direction.NORTH, args.length)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    outside = [cell for cell in path.cells if not grid.contains(cell)]
+    if outside:
+        raise SystemExit(
+            f"the corridor (--length {args.length}, --turns {args.turns}) "
+            f"does not fit a {args.grid}x{args.grid} grid: cell {outside[0]} "
+            f"is off the grid"
+        )
     faults = FaultSpec(pf=args.pf, pr=args.pr)
     return SimulationConfig(
         grid_width=args.grid,

@@ -295,12 +295,6 @@ class ReplayOracle(Oracle):
             # scalars; multi-commodity runs are covered by the
             # differential and conservation oracles instead.
             return []
-        if scenario.config.engine == "timed":
-            # The timed engine synthesizes reports with empty Route and
-            # Signal observables (those phases happen message-by-message
-            # inside the processes), so no offline-verifiable trace
-            # exists; async-equivalence covers the timed engine instead.
-            return []
         config = replace(scenario.config, monitors=False)
         sim = build_simulation(config)
         recorder = TraceRecorder.for_system(sim.system)
@@ -592,14 +586,7 @@ class TokenFairnessOracle(Oracle):
     def check(self, scenario: Scenario) -> List[Violation]:
         """Audit every grant's rotation and each competitor's wait."""
         config = scenario.config
-        if (
-            config.token_policy != "roundrobin"
-            or config.commodities
-            or config.engine == "timed"
-        ):
-            # The timed engine's synthesized reports carry no Signal
-            # observables; its token path is covered by async-equivalence
-            # (state-identity to the reference includes token state).
+        if config.token_policy != "roundrobin" or config.commodities:
             return []
         sim = build_simulation(replace(config, monitors=False))
         violations: List[Violation] = []

@@ -42,10 +42,11 @@ counted in the round it was sent, and several transfers from one cell
 to the same neighbor in one round arrive in send order rather than in
 jittered arrival order (the receiver's state is the same either way).
 
-The report carries the Move observables (moved cells, boundary
-transfers, consumptions) and the productions; the Route/Signal
-sub-reports stay empty — those phases happen inside the processes,
-message by message, with no global sweep to report on.
+The report is the synchronous engines' report. Each process appends
+its Route changes and its Signal decisions as it computes them, in cell
+order, which is the reference sweep's order. Move lists the moved cells
+in cell order and the transfers and consumptions in send order, which
+is the movers' sweep order, as ``apply_moves`` lists them.
 """
 
 from __future__ import annotations
@@ -156,16 +157,18 @@ class TimedEngine(RoundEngine):
             process.advert_route(send)
 
         # Turn B: Route; next/occupancy adverts.
+        route = RoutePhaseReport()
         for cid, process in processes.items():
-            process.on_route(self._take(cid, turn), cid == tid)
+            process.on_route(self._take(cid, turn), cid == tid, route)
         system._notify_phase("route")
         self._open_turn(turn + 1)
         for process in processes.values():
             process.advert_occupancy(send)
 
         # Turn C: Signal; grant adverts.
+        signal = SignalPhaseReport()
         for cid, process in processes.items():
-            process.on_occupancy(self._take(cid, turn + 1))
+            process.on_occupancy(self._take(cid, turn + 1), signal)
         system._notify_phase("signal")
         self._open_turn(turn + 2)
         for process in processes.values():
@@ -174,29 +177,35 @@ class TimedEngine(RoundEngine):
         # Turn D: Move; entity transfers.
         self._open_turn(turn + 3)
         move = MovePhaseReport()
+        sent: List[EntityTransferMessage] = []
+
+        def send_transfer(message: EntityTransferMessage) -> None:
+            sent.append(message)
+            send(message)
+
         for cid, process in processes.items():
-            if process.on_grant(self._take(cid, turn + 2), send):
+            if process.on_grant(self._take(cid, turn + 2), send_transfer):
                 move.moved_cells.append(cid)
 
         # The next round's turn-A instant: transfers land, then produce.
+        # A cell grants one neighbor a round, so the target's inbox is
+        # already in send order.
         for cid, process in processes.items():
             inbox = self._take(cid, turn + 3)
-            if not inbox:
-                continue
-            consumed = cid == tid
-            move.transfers.extend(
-                Transfer(uid=m.uid, src=m.src, dst=cid, consumed=consumed)
-                for m in inbox
-            )
-            move.consumed.extend(process.on_transfers(inbox, consumed))
+            if inbox:
+                move.consumed.extend(process.on_transfers(inbox, cid == tid))
+        move.transfers = [
+            Transfer(uid=m.uid, src=m.src, dst=m.dst, consumed=m.dst == tid)
+            for m in sent
+        ]
         system._notify_phase("move")
         system.total_consumed += len(move.consumed)
         produced = system._produce()
         system._notify_phase("produce")
         report = RoundReport(
             round_index=system.round_index,
-            route=RoutePhaseReport(),
-            signal=SignalPhaseReport(),
+            route=route,
+            signal=signal,
             move=move,
             produced=produced,
         )

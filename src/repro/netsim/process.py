@@ -12,22 +12,25 @@ round it sends at one turn and computes from what arrived at the next:
                         on_transfers   (accept entities handed over)
 
 Every inbox holds the messages of one turn, so it carries one message
-type. The computations reuse the *same* phase logic as the
-shared-variable model (``_route_step``-equivalent folding, ``gap_clear``),
-so any divergence between the two models is a protocol bug, not a
-re-coding artifact — and the lockstep tests would catch it.
+type. Route and Signal call the shared-variable model's own per-cell
+steps (``_route_step``, ``_signal_step``) on what arrived, and record
+their changes and decisions in the round's phase reports exactly as the
+synchronous sweeps do — so any divergence between the two models is a
+protocol bug, not a re-coding artifact, and the lockstep tests would
+catch it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.cell import INFINITY, CellState
 from repro.core.entity import Entity
 from repro.core.move import crossed_boundary
 from repro.core.params import Parameters
 from repro.core.policies import TokenPolicy
-from repro.core.signal import gap_clear
+from repro.core.route import RoutePhaseReport, _route_step
+from repro.core.signal import SignalPhaseReport, _signal_step
 from repro.grid.topology import CellId, Grid, direction_between
 from repro.netsim.message import (
     EntityTransferMessage,
@@ -77,24 +80,33 @@ class CellProcess:
         for dst in self.grid.neighbors(cid):
             send(RouteAdvert(src=cid, dst=dst, dist=dist))
 
-    def on_route(self, inbox: Iterable[RouteAdvert], is_target: bool) -> None:
+    def on_route(
+        self,
+        inbox: Iterable[RouteAdvert],
+        is_target: bool,
+        report: Optional[RoutePhaseReport] = None,
+    ) -> None:
         """Route from received dists (silence = infinity); the target
-        keeps ``dist = 0``."""
+        keeps ``dist = 0``. Changes are appended to ``report``."""
         if self.failed or is_target:
             return
+        cid = self.cell_id
         # Missing adverts read as infinity — silence is failure.
         dists: Dict[CellId, float] = {
-            nbr: INFINITY for nbr in self.grid.neighbors(self.cell_id)
+            nbr: INFINITY for nbr in self.grid.neighbors(cid)
         }
         for message in inbox:
             dists[message.src] = INFINITY if message.dist is None else message.dist
-        best = min(sorted(dists), key=lambda n: (dists[n], n))
-        if dists[best] == INFINITY:
-            self.state.dist = INFINITY
-            self.state.next_id = None
-        else:
-            self.state.dist = dists[best] + 1.0
-            self.state.next_id = best
+        new_dist, new_next = _route_step(self.grid, cid, dists)
+        if report is None:
+            report = RoutePhaseReport()
+        state = self.state
+        if new_dist != state.dist:
+            report.changed_dist.append(cid)
+            state.dist = new_dist
+        if new_next != state.next_id:
+            report.changed_next.append(cid)
+            state.next_id = new_next
 
     # ------------------------------------------------------------------
     # Signal
@@ -110,8 +122,13 @@ class CellProcess:
         for dst in self.grid.neighbors(cid):
             send(OccupancyAdvert(src=cid, dst=dst, next_id=next_id, nonempty=nonempty))
 
-    def on_occupancy(self, inbox: Iterable[OccupancyAdvert]) -> None:
-        """NEPrev, token maintenance, and the grant."""
+    def on_occupancy(
+        self,
+        inbox: Iterable[OccupancyAdvert],
+        report: Optional[SignalPhaseReport] = None,
+    ) -> None:
+        """NEPrev, token maintenance, and the grant; decisions are
+        appended to ``report``."""
         if self.failed:
             return
         ne_prev = {
@@ -119,21 +136,9 @@ class CellProcess:
             for message in inbox
             if message.next_id == self.cell_id and message.nonempty
         }
-        state = self.state
-        state.ne_prev = ne_prev
-        if state.token is not None and state.token not in ne_prev:
-            state.token = None
-        if state.token is None:
-            state.token = self.token_policy.initial(ne_prev)
-        if state.token is None:
-            state.signal = None
-            return
-        toward = direction_between(self.cell_id, state.token)
-        if gap_clear(state, toward, self.params):
-            state.signal = state.token
-            state.token = self.token_policy.rotate(ne_prev, state.token)
-        else:
-            state.signal = None
+        if report is None:
+            report = SignalPhaseReport()
+        _signal_step(self.state, ne_prev, self.params, self.token_policy, report)
 
     # ------------------------------------------------------------------
     # Move + transfers

@@ -6,14 +6,18 @@ observe — and drives one round as three exchanges with the shard fleet:
 
 1. **route**: ship each live shard its rim's pre-round effective dists
    (plus any fail/recover events and membership resyncs for its own
-   cells); each worker sweeps Route over its district and returns the
-   per-cell results. The coordinator sorts the merged results into
+   cells); each worker re-evaluates Route on its district's dirty cells
+   (:mod:`repro.core.dirty`) and returns the cells whose ``dist`` or
+   ``next`` changed. The coordinator sorts the merged results into
    global row-major order and applies them — producing the exact
-   ``RoutePhaseReport`` the reference sweep would.
+   ``RoutePhaseReport`` the reference sweep would, since applying
+   records only real changes.
 2. **signal**: ship post-Route rim ``(next, nonempty)`` ghosts; workers
-   run Signal over their districts (mutating their own token/signal
+   run Signal over their pending cells (mutating their own token/signal
    state with the identical rules) and return value updates plus their
-   slice of the grant report; again merged row-major.
+   slice of the grant report; again merged row-major. A live cell no
+   worker evaluated holds ``(NEPrev, token, signal) = (empty, bot, bot)``,
+   which is what the reference sweep would write.
 3. Move runs **coordinator-side** (``apply_moves`` on the movers derived
    from the merged grant report, exactly like the incremental engine),
    as does source production — one global RNG stream, unsplittable.
@@ -56,6 +60,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import repro
 from repro.core.cell import effective_dist, effective_next, effective_nonempty
+from repro.core.dirty import row_major as _row_major
 from repro.core.move import MovePhaseReport, apply_moves
 from repro.core.route import RoutePhaseReport
 from repro.core.signal import SignalPhaseReport
@@ -71,10 +76,6 @@ from repro.shard.worker import (
     entity_to_wire,
 )
 from repro.sim.supervisor import RetryPolicy
-
-
-def _row_major(cid: CellId) -> Tuple[int, int]:
-    return (cid[1], cid[0])
 
 
 class _ShardHandle:
@@ -234,9 +235,6 @@ class ShardCoordinator:
     def _route_phase(self, round_index: int) -> RoutePhaseReport:
         system = self.system
         cells = system.cells
-        # Pre-round snapshot: messages AND local fallbacks read it, so a
-        # mid-phase death cannot leak post-round dists into the round.
-        dist_view = {cid: effective_dist(state) for cid, state in cells.items()}
 
         def payload(handle: _ShardHandle) -> Dict[str, Any]:
             events, handle.pending_events = handle.pending_events, []
@@ -251,26 +249,34 @@ class ShardCoordinator:
                     ]
                     for cid in sync
                 },
-                "ghosts": {cid: dist_view[cid] for cid in handle.rim},
+                "ghosts": {cid: effective_dist(cells[cid]) for cid in handle.rim},
             }
 
         results = self._gather("route", payload)
         merged: List[Tuple[CellId, int, Optional[CellId]]] = []
+        # Nothing is applied until every district has answered, so the
+        # live state is still pre-round here; the fallback snapshots it
+        # only when some district needs one.
+        dist_view: Optional[Dict[CellId, float]] = None
         for handle in self._handles:
             wire = results.get(handle.shard_id)
             if wire is not None:
                 merged.extend(wire["updates"])
-            else:
-                # Dead/degraded shard (or one that died this phase): the
-                # coordinator stands in with the same pure district sweep
-                # over authoritative state.
-                handle.pending_events = []
-                handle.pending_member_sync = set()
-                merged.extend(
-                    compute_route_updates(
-                        system.grid, cells, system.tid, handle.district, dist_view
-                    )
+                continue
+            # Dead/degraded shard (or one that died this phase): the
+            # coordinator stands in with the same pure district sweep
+            # over authoritative state.
+            handle.pending_events = []
+            handle.pending_member_sync = set()
+            if dist_view is None:
+                dist_view = {
+                    cid: effective_dist(state) for cid, state in cells.items()
+                }
+            merged.extend(
+                compute_route_updates(
+                    system.grid, cells, system.tid, handle.district, dist_view
                 )
+            )
         merged.sort(key=lambda update: _row_major(update[0]))
         report = RoutePhaseReport()
         apply_route_updates(cells, merged, report)

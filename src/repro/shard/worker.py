@@ -11,6 +11,14 @@ transfers, produced entities) from the commit message, using the same
 IEEE float operations, so its mirror stays bitwise identical to the
 coordinator's authoritative state.
 
+A worker evaluates only its district's *dirty* cells: it keeps the
+incremental engine's per-phase dirty sets (:mod:`repro.core.dirty`,
+restricted to the district) and feeds every change it sees into the
+same rules — its own Route results, fail/recover events, membership
+changes from commits and ``member_sync``, and rim ghosts that differ
+from the previous round's. Route replies list only the cells whose
+``dist`` or ``next`` changed; Signal replies list the evaluated cells.
+
 The district computations live here as **pure module functions**
 (:func:`compute_route_updates`, :func:`compute_signal_updates`,
 :func:`apply_route_updates`, :func:`apply_commit`) shared by the worker
@@ -42,10 +50,10 @@ from repro.core.cell import (
     CellState,
     dist_from_int,
     dist_to_int,
-    effective_dist,
     effective_next,
     effective_nonempty,
 )
+from repro.core.dirty import DirtyCells, LiveDistView
 from repro.core.entity import Entity
 from repro.core.params import Parameters
 from repro.core.route import RoutePhaseReport, _route_step
@@ -81,13 +89,14 @@ def compute_route_updates(
     district: Sequence[CellId],
     dist_view,
 ) -> List[Tuple[CellId, int, Optional[CellId]]]:
-    """Route over the district against a pre-round dist snapshot.
+    """Route over ``district`` (all of it, or its dirty cells) against
+    pre-round dists.
 
-    ``dist_view`` must map every district cell *and* its out-of-district
-    neighbors to the pre-round effective dist (``__getitem__`` protocol).
-    Returns ``(cid, dist_int, next)`` for every evaluated cell, in
-    district (row-major) order; application is a separate step so the
-    snapshot semantics of the reference's Jacobi sweep are preserved.
+    ``dist_view`` must map every listed cell's neighbors to the
+    pre-round effective dist (``__getitem__`` protocol). Returns
+    ``(cid, dist_int, next)`` for every evaluated cell, in the order
+    given; application is a separate step so the snapshot semantics of
+    the reference's Jacobi sweep are preserved.
     """
     updates: List[Tuple[CellId, int, Optional[CellId]]] = []
     for cid in district:
@@ -132,15 +141,15 @@ def compute_signal_updates(
     next_of: Callable[[CellId], Optional[CellId]],
     nonempty_of: Callable[[CellId], bool],
 ) -> Dict[str, Any]:
-    """Signal over the district, mutating its cells' own variables.
+    """Signal over ``district`` (all of it, or its pending cells),
+    mutating the cells' own variables.
 
     ``next_of`` / ``nonempty_of`` must answer for every neighbor of a
-    district cell (in- or out-of-district) with post-Route effective
-    values. Mutates ``token``/``signal``/``ne_prev`` of the district's
+    listed cell (in- or out-of-district) with post-Route effective
+    values. Mutates ``token``/``signal``/``ne_prev`` of the listed
     non-failed cells exactly like the reference sweep, and returns the
     wire-format result the coordinator merges: per-cell value updates
-    plus the district slice of the grant report, all in district
-    (row-major) order.
+    plus the slice of the grant report, all in the order given.
     """
     ne_prev_map = {}
     for cid in district:
@@ -261,11 +270,12 @@ def district_digest(
 # ---------------------------------------------------------------------------
 
 
-class DistrictWorker:
-    """Request handler around one district's state.
+class DistrictWorker(DirtyCells):
+    """Request handler around one district's state and dirty sets.
 
     Usable in-process (tests drive it directly) or behind the pickle
-    loop of :func:`serve`.
+    loop of :func:`serve`. A new worker starts with every district cell
+    dirty, so its first round is a full sweep.
     """
 
     def __init__(self, init: Dict[str, Any]):
@@ -276,9 +286,10 @@ class DistrictWorker:
         self.district: List[CellId] = list(init["district"])
         self.cells: Dict[CellId, CellState] = init["cells"]
         self.chaos: Optional[Dict[str, Any]] = init.get("chaos")
-        # Ghost values for the current round (rim cells).
-        self._ghost_dist: Dict[CellId, float] = {}
-        self._ghost_next: Dict[CellId, Tuple] = {}
+        self._track(self.grid, self.district)
+        # The previous round's rim ghosts, compared against each new set.
+        self._route_ghosts: Dict[CellId, float] = {}
+        self._signal_ghosts: Dict[CellId, Tuple] = {}
 
     # -- chaos hooks (tests only) --------------------------------------
 
@@ -301,6 +312,32 @@ class DistrictWorker:
             self.chaos = None  # one-shot
         return spec
 
+    # -- out-of-district changes ---------------------------------------
+
+    def _note_route_ghosts(self, ghosts: Dict[CellId, float]) -> None:
+        """A rim cell whose dist differs from last round's wakes its
+        district neighbors' Route (the dist rule across the rim)."""
+        previous = self._route_ghosts
+        for cid, dist in ghosts.items():
+            if previous.get(cid) != dist:
+                self._mark_dist_change(cid)
+        self._route_ghosts = ghosts
+
+    def _note_signal_ghosts(self, ghosts: Dict[CellId, Tuple]) -> None:
+        """A rim cell whose ``(next, nonempty)`` differs from last round's
+        wakes its district neighbors' Signal: a changed ``next`` and a
+        changed membership both reach them only through ``NEPrev``."""
+        previous = self._signal_ghosts
+        for cid, ghost in ghosts.items():
+            if previous.get(cid) != ghost:
+                self._mark_next_change(cid)
+        self._signal_ghosts = ghosts
+
+    def _apply_member_sync(self, member_sync: Dict[CellId, Sequence[Sequence]]) -> None:
+        apply_member_sync(self.cells, member_sync)
+        for cid in member_sync:
+            self._mark_membership_change(cid)
+
     # -- request handlers ----------------------------------------------
 
     def handle(self, kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -316,52 +353,74 @@ class DistrictWorker:
         raise ValueError(f"unknown request kind {kind!r}")
 
     def _handle_route(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        apply_events(self.cells, self.tid, payload.get("events", ()))
-        apply_member_sync(self.cells, payload.get("member_sync", {}))
-        self._ghost_dist = dict(payload["ghosts"])
-        dist_view = {
-            cid: effective_dist(state) for cid, state in self.cells.items()
-        }
-        dist_view.update(self._ghost_dist)
-        updates = compute_route_updates(
-            self.grid, self.cells, self.tid, self.district, dist_view
-        )
-        apply_route_updates(self.cells, updates)
-        return {"updates": updates}
+        events = payload.get("events", ())
+        apply_events(self.cells, self.tid, events)
+        for _, cid in events:
+            self._mark_fault_event(cid)
+        self._apply_member_sync(payload.get("member_sync", {}))
+        ghosts = payload["ghosts"]
+        self._note_route_ghosts(ghosts)
+        changed = []
+        for update in compute_route_updates(
+            self.grid,
+            self.cells,
+            self.tid,
+            self._take_route_dirty(),
+            LiveDistView(self.cells, ghosts),
+        ):
+            cid, dist_int, new_next = update
+            state = self.cells[cid]
+            dist_changed = dist_from_int(dist_int) != state.dist
+            next_changed = new_next != state.next_id
+            if dist_changed:
+                self._mark_dist_change(cid)
+            if next_changed:
+                self._mark_next_change(cid)
+            if dist_changed or next_changed:
+                changed.append(update)
+        apply_route_updates(self.cells, changed)
+        return {"updates": changed}
 
     def _handle_signal(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         ghosts: Dict[CellId, Tuple] = payload["ghosts"]
+        self._note_signal_ghosts(ghosts)
+        cells = self.cells
 
         def next_of(cid: CellId):
-            state = self.cells.get(cid)
+            state = cells.get(cid)
             if state is not None:
                 return effective_next(state)
             return ghosts[cid][0]
 
         def nonempty_of(cid: CellId) -> bool:
-            state = self.cells.get(cid)
+            state = cells.get(cid)
             if state is not None:
                 return effective_nonempty(state)
             return ghosts[cid][1]
 
-        return compute_signal_updates(
+        wire = compute_signal_updates(
             self.grid,
-            self.cells,
+            cells,
             self.params,
             self.policy,
-            self.district,
+            self._take_signal_pending(),
             next_of,
             nonempty_of,
         )
+        for cid, ne_prev, _, _ in wire["updates"]:
+            self._keep_hot(cid, ne_prev)
+        return wire
 
     def _handle_commit(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        apply_commit(
-            self.cells,
-            self.params,
-            payload.get("movers", ()),
-            payload.get("incoming", ()),
-            payload.get("produced", ()),
-        )
+        movers = payload.get("movers", ())
+        incoming = payload.get("incoming", ())
+        produced = payload.get("produced", ())
+        apply_commit(self.cells, self.params, movers, incoming, produced)
+        for cid, _, removed in movers:
+            if removed:
+                self._mark_membership_change(cid)
+        for dst, _ in (*incoming, *produced):
+            self._mark_membership_change(dst)
         return {"ok": True}
 
 

@@ -33,24 +33,15 @@ is what the sweep/parallel/supervisor stack and the benchmark harness
 use: worker processes inherit it, so a whole figure sweep switches
 engines without touching any config.
 
-Dirty-set rules (see docs/performance.md for the full derivation):
+Dirty-set rules: Route and Signal follow :mod:`repro.core.dirty`, the
+one definition the incremental engine and the shard workers share (see
+docs/performance.md for the full derivation). The other two phases:
 
 ========  ==========================================================
-Route     re-evaluate a cell next round iff a neighbor's effective
-          ``dist`` changed this round, or a fail/recover event touched
-          the cell or a neighbor. (Route reads only neighbor dists.)
-Signal    re-evaluate a cell this round iff it is *hot* (its last
-          evaluation left a nonempty ``NEPrev`` — it granted or
-          blocked, so it must run again), or a neighbor's ``next``
-          changed in this round's Route phase, or a neighbor's
-          membership changed last round (transfer/production/seeding),
-          or a fail/recover event touched the cell or a neighbor.
-          A skipped cell provably holds ``(NEPrev, token, signal) =
-          (empty, bot, bot)`` — exactly what re-evaluation would write.
 Move      movers are derived from this round's grant report: cell
           ``m`` moves iff its ``next`` granted it the signal this
-          round, which under the Signal invariant above is equivalent
-          to the reference's full ``effective_signal`` scan.
+          round, which under the Signal invariant is equivalent to the
+          reference's full ``effective_signal`` scan.
 produce   never skipped: source policies may consume RNG every round
           (e.g. Bernoulli arrivals), so all non-faulty sources run to
           keep the random streams identical.
@@ -65,9 +56,9 @@ from the reference engine.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Set, Tuple, Type
+from typing import Dict, List, Optional, Tuple, Type
 
-from repro.core.cell import effective_dist
+from repro.core.dirty import DirtyCells, LiveDistView, row_major as _row_major
 from repro.core.move import MovePhaseReport, apply_moves
 from repro.core.route import RoutePhaseReport, _route_step
 from repro.core.signal import SignalPhaseReport, _signal_step, compute_ne_prev
@@ -78,17 +69,6 @@ from repro.grid.topology import CellId
 ENV_ENGINE = "REPRO_ENGINE"
 
 DEFAULT_ENGINE = "reference"
-
-
-def _row_major(cid: CellId) -> Tuple[int, int]:
-    """Sort key reproducing ``Grid.cells()`` iteration order (j, then i).
-
-    The reference sweeps iterate ``cells.items()`` — insertion order,
-    which is ``Grid.cells()`` row-major order. Dirty sets are unordered,
-    so the incremental engine sorts with this key to keep every report
-    list byte-identical to the reference.
-    """
-    return (cid[1], cid[0])
 
 
 class RoundEngine:
@@ -136,50 +116,25 @@ class ReferenceEngine(RoundEngine):
         return self.system.update()
 
 
-class _LiveDistView:
-    """Mapping view of the cells' *current* effective dists.
-
-    ``_route_step`` expects a ``cid -> dist`` mapping. The reference
-    engine materializes a full snapshot dict; the incremental engine
-    defers all writes until after every dirty cell has been evaluated,
-    so reading the live state through this view *is* the pre-phase
-    snapshot — without the O(cells) copy.
-    """
-
-    __slots__ = ("_cells",)
-
-    def __init__(self, cells):
-        self._cells = cells
-
-    def __getitem__(self, cid: CellId) -> float:
-        return effective_dist(self._cells[cid])
-
-
-class IncrementalEngine(RoundEngine):
+class IncrementalEngine(RoundEngine, DirtyCells):
     """Dirty-set execution: evaluate only cells whose inputs could have
     changed; quiescent regions cost zero per round.
 
     Equivalence to the reference engine is enforced by the differential
     harness (``tests/test_engine_differential.py``) over randomized
     fault-injected configurations; the invariants each dirty set
-    maintains are spelled out in the module docstring.
+    maintains are spelled out in :mod:`repro.core.dirty`, whose rules
+    (``_mark_*``, ``_keep_hot``, ``invalidate``) the engine inherits
+    with the whole grid as its owned cells.
     """
 
     name = "incremental"
 
     def __init__(self, system: System, config=None):
         super().__init__(system, config)
-        all_cells = set(system.cells)
-        #: Cells whose Route function must be re-evaluated this round.
-        self._route_dirty: Set[CellId] = set(all_cells)
-        #: Cells whose Signal function must be re-evaluated this round.
-        self._signal_pending: Set[CellId] = set(all_cells)
+        self._track(system.grid)
         self._chained_cell_observer = system.cell_observer
         system.cell_observer = self._on_cell_event
-
-    # ------------------------------------------------------------------
-    # Dirty-set maintenance
-    # ------------------------------------------------------------------
 
     def _on_cell_event(self, event: str, cid: CellId) -> None:
         """Environment transition (fail/recover/relocate/seeding) touched
@@ -194,39 +149,6 @@ class IncrementalEngine(RoundEngine):
             self._mark_fault_event(cid)
         if self._chained_cell_observer is not None:
             self._chained_cell_observer(event, cid)
-
-    def _mark_fault_event(self, cid: CellId) -> None:
-        """A fail/recover transition changes every shared variable the
-        neighbors observe (masking), and resets the cell's own state."""
-        self._route_dirty.add(cid)
-        self._signal_pending.add(cid)
-        for nbr in self.system.grid.neighbors(cid):
-            self._route_dirty.add(nbr)
-            self._signal_pending.add(nbr)
-
-    def _mark_dist_change(self, cid: CellId) -> None:
-        """``cid``'s dist changed: neighbors re-run Route next round."""
-        self._route_dirty.update(self.system.grid.neighbors(cid))
-
-    def _mark_membership_change(self, cid: CellId) -> None:
-        """``cid``'s membership changed: neighbors' ``NEPrev`` may differ."""
-        self._signal_pending.update(self.system.grid.neighbors(cid))
-
-    def invalidate(self, cid: CellId) -> None:
-        """Mark ``cid``'s whole neighborhood dirty for every phase.
-
-        External code that mutates cell state directly (outside the
-        ``fail``/``recover``/``seed_entity`` transitions, which notify
-        automatically) must call this, or the engine may keep treating
-        the region as quiescent.
-        """
-        self._mark_fault_event(cid)
-
-    def invalidate_all(self) -> None:
-        """Forget all quiescence: the next round re-evaluates every cell."""
-        all_cells = set(self.system.cells)
-        self._route_dirty = set(all_cells)
-        self._signal_pending = set(all_cells)
 
     # ------------------------------------------------------------------
     # The round
@@ -265,14 +187,10 @@ class IncrementalEngine(RoundEngine):
         """
         system = self.system
         cells = system.cells
-        dirty = self._route_dirty
-        self._route_dirty = set()
         report = RoutePhaseReport()
-        if not dirty:
-            return report
-        view = _LiveDistView(cells)
+        view = LiveDistView(cells)
         updates: List[Tuple[CellId, float, Optional[CellId]]] = []
-        for cid in sorted(dirty, key=_row_major):
+        for cid in self._take_route_dirty():
             state = cells[cid]
             if state.failed or cid == system.tid:
                 continue
@@ -302,25 +220,16 @@ class IncrementalEngine(RoundEngine):
         system = self.system
         cells = system.cells
         grid = system.grid
-        pending = self._signal_pending
-        # A changed next-pointer changes which neighbor the cell points
-        # at: both the old and the new pointee (all lattice neighbors of
-        # the changed cell) recompute NEPrev *this* round — Signal reads
-        # post-Route state within the same update.
         for changed in route_report.changed_next:
-            pending.update(grid.neighbors(changed))
-        self._signal_pending = set()
+            self._mark_next_change(changed)
         report = SignalPhaseReport()
-        for cid in sorted(pending, key=_row_major):
+        for cid in self._take_signal_pending():
             state = cells[cid]
             if state.failed:
                 continue
             ne_prev = compute_ne_prev(grid, cells, cid)
             _signal_step(state, ne_prev, system.params, system.token_policy, report)
-            if ne_prev:
-                # Hot: the cell granted or blocked, so its token/signal
-                # must be recomputed next round regardless of events.
-                self._signal_pending.add(cid)
+            self._keep_hot(cid, ne_prev)
         return report
 
     def _move_phase(self, signal_report: SignalPhaseReport) -> MovePhaseReport:

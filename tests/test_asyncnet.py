@@ -2,6 +2,7 @@
 engine's equivalence/degradation properties."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,8 @@ from repro.monitors.safety import check_safe
 from repro.netsim.delay import FixedDelay, HeavyTailDelay, UniformDelay
 from repro.netsim.engine import TimedEngine
 from repro.netsim.message import RouteAdvert
+from repro.sim.simulator import build_simulation
+from repro.testing.differential import canonical_report, canonical_state, random_config
 
 PARAMS = Parameters(l=0.25, rs=0.05, v=0.2)
 PATH = straight_path((1, 0), Direction.NORTH, 8)
@@ -153,6 +156,24 @@ class TestBoundedDelayEquivalence:
             assert fingerprint(asynchronous.system.cells) == fingerprint(
                 synchronous.cells
             ), f"diverged at round {round_index}"
+
+
+class TestReportsMatchReference:
+    @pytest.mark.parametrize("jitter", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", range(26))
+    def test_faulting_matrix(self, seed, jitter):
+        """Delays within the period: every round's report — Route
+        changes, Signal decisions, transfers in send order — and state
+        equal the reference's, under fail/recover churn."""
+        config = random_config(seed, faulting=True)
+        reference = build_simulation(config, engine="reference")
+        timed = build_simulation(replace(config, engine="timed", jitter=jitter))
+        for round_index in range(config.rounds):
+            expected = canonical_report(reference.step())
+            assert canonical_report(timed.step()) == expected, round_index
+            assert canonical_state(timed.system) == canonical_state(
+                reference.system
+            ), round_index
 
 
 class TestPeriodBoundary:

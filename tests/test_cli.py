@@ -38,6 +38,16 @@ class TestCommands:
         assert main(["run", "--rounds", "150", "--turns", "2", "--length", "6"]) == 0
         assert "consumed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_corridor_off_the_grid_is_a_usage_error(self, command):
+        """The default --length 8 on a 6x6 grid: one line, no traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--grid", "6"])
+        message = str(excinfo.value.code)
+        assert "\n" not in message
+        assert "does not fit a 6x6 grid" in message
+        assert "(1, 6)" in message
+
     def test_run_with_faults(self, capsys):
         code = main(
             ["run", "--rounds", "200", "--pf", "0.02", "--pr", "0.1", "--seed", "5"]

@@ -1,0 +1,214 @@
+"""District workers evaluate only dirty cells: planted worker bugs are caught.
+
+A worker re-evaluates Route and Signal only on the district cells whose
+inputs could have changed (:mod:`repro.core.dirty`), learning about
+out-of-district changes by comparing each round's rim ghosts with the
+previous round's. A dropped rule does not crash anything: it leaves a
+cell stale, and the round drifts from the reference. These tests plant
+each worker-side rule's removal and require the lockstep to notice.
+
+Worker processes cannot be monkeypatched, so the fleet here runs in the
+test process: ``ShardCoordinator._spawn`` is replaced by one that builds
+the worker class under test behind a channel whose ``post`` /
+``collect`` / ``request`` / ``close`` call ``DistrictWorker.handle``
+directly, pickling each payload and reply as the socket would.
+"""
+
+from __future__ import annotations
+
+import pickle
+from dataclasses import replace
+
+import pytest
+
+from repro.shard.coordinator import ShardCoordinator
+from repro.shard.worker import DistrictWorker, apply_member_sync
+from repro.sim.simulator import build_simulation
+from repro.testing.differential import canonical_report, canonical_state, random_config
+
+SEEDS = range(6)
+SHARD_COUNTS = (2, 4)
+ROUNDS = 30
+#: The round before which an entity is seeded into an empty cell (what
+#: serve ``arrive`` does; it reaches the owning worker as ``member_sync``).
+SEED_ROUND = 12
+
+
+def _wire(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+class InProcessChannel:
+    """The ``ShardChannel`` surface the coordinator uses, over a worker
+    object in this process."""
+
+    def __init__(self, worker_class):
+        self.worker_class = worker_class
+        self.worker = None
+        self._pending = None
+
+    def post(self, kind, payload):
+        self._pending = (kind, _wire(payload))
+
+    def collect(self, timeout=None):
+        kind, payload = self._pending
+        self._pending = None
+        if kind == "init":
+            self.worker = self.worker_class(payload)
+            return {"ok": True, "cells": len(self.worker.cells)}
+        return _wire(self.worker.handle(kind, payload))
+
+    def request(self, kind, payload, timeout=None):
+        self.post(kind, payload)
+        return self.collect(timeout)
+
+    def close(self):
+        self.worker = None
+
+
+def use_in_process_fleet(monkeypatch, worker_class=DistrictWorker):
+    def spawn(coordinator, handle):
+        system = coordinator.system
+        handle.channel = InProcessChannel(worker_class)
+        handle.channel.request(
+            "init",
+            {
+                "width": system.grid.width,
+                "height": system.grid.height,
+                "tid": system.tid,
+                "params": system.params,
+                "policy": system.token_policy.clone(),
+                "district": list(handle.district),
+                "cells": {cid: system.cells[cid].clone() for cid in handle.district},
+            },
+        )
+
+    monkeypatch.setattr(ShardCoordinator, "_spawn", spawn)
+
+
+def seed_cell(system):
+    """A live, empty cell with a route whose next hop is quiet (empty
+    ``NEPrev``): only the membership rule wakes that hop's Signal."""
+    for cid in sorted(system.cells):
+        state = system.cells[cid]
+        if state.failed or state.members or cid == system.tid:
+            continue
+        nxt = state.next_id
+        if nxt is None:
+            continue
+        hop = system.cells[nxt]
+        if not hop.failed and not hop.ne_prev:
+            return cid
+    return None
+
+
+def first_divergence(seed, worker_class=DistrictWorker):
+    """Reference vs the in-process fleet at 2 and 4 shards, in lockstep.
+
+    Returns ``None`` when every round's report and state match and every
+    worker's mirror audits in sync, else a description of the first
+    mismatch.
+    """
+    config = replace(random_config(seed, faulting=True), rounds=ROUNDS)
+    sims = {"reference": build_simulation(config, engine="reference")}
+    for shards in SHARD_COUNTS:
+        sims[f"sharded@{shards}"] = build_simulation(
+            replace(config, shards=shards), engine="sharded"
+        )
+    try:
+        for round_index in range(config.rounds):
+            if round_index == SEED_ROUND:
+                cid = seed_cell(sims["reference"].system)
+                if cid is not None:
+                    for sim in sims.values():
+                        sim.system.seed_entity(cid, cid[0] + 0.5, cid[1] + 0.5)
+            reports = {name: canonical_report(sim.step()) for name, sim in sims.items()}
+            states = {name: canonical_state(sim.system) for name, sim in sims.items()}
+            for name in sims:
+                if reports[name] != reports["reference"]:
+                    return f"round {round_index}: {name} report != reference"
+                if states[name] != states["reference"]:
+                    return f"round {round_index}: {name} state != reference"
+        for name, sim in sims.items():
+            if name == "reference":
+                continue
+            verdicts = sim.engine.coordinator.audit()
+            if not verdicts or not all(verdicts.values()):
+                return f"{name} worker mirrors out of sync: {verdicts}"
+        return None
+    finally:
+        for sim in sims.values():
+            sim.engine.close()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dirty_worker_matches_reference(monkeypatch, seed):
+    use_in_process_fleet(monkeypatch)
+    assert first_divergence(seed) is None
+
+
+def test_seeded_cell_exists_on_every_seed():
+    """The member_sync leg is only a test where an entity is seeded."""
+    for seed in SEEDS:
+        config = replace(random_config(seed, faulting=True), rounds=ROUNDS)
+        sim = build_simulation(config, engine="reference")
+        for _ in range(SEED_ROUND):
+            sim.step()
+        assert seed_cell(sim.system) is not None, seed
+
+
+# ----------------------------------------------------------------------
+# Mutants: each drops one worker-side rule
+# ----------------------------------------------------------------------
+
+
+class _IgnoreRimDistWorker(DistrictWorker):
+    """MUTANT: a rim cell's changed dist never wakes its district
+    neighbors' Route, so the distance wave stops at the district edge."""
+
+    def _note_route_ghosts(self, ghosts):
+        pass
+
+
+class _IgnoreRimSignalWorker(DistrictWorker):
+    """MUTANT: a rim cell's changed ``(next, nonempty)`` never wakes its
+    district neighbors' Signal, so entities waiting across the edge are
+    invisible to ``NEPrev``."""
+
+    def _note_signal_ghosts(self, ghosts):
+        pass
+
+
+class _NoHotRuleWorker(DistrictWorker):
+    """MUTANT: a cell that granted or blocked is not re-evaluated next
+    round, so its token never rotates and a blocked neighbor is never
+    retried."""
+
+    def _keep_hot(self, cid, ne_prev):
+        pass
+
+
+class _NoMemberSyncMarkingWorker(DistrictWorker):
+    """MUTANT: a seeded entity reaches the worker's cell but never wakes
+    the neighbors' Signal, so the next hop never grants it."""
+
+    def _apply_member_sync(self, member_sync):
+        apply_member_sync(self.cells, member_sync)
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        _IgnoreRimDistWorker,
+        _IgnoreRimSignalWorker,
+        _NoHotRuleWorker,
+        _NoMemberSyncMarkingWorker,
+    ],
+    ids=["rim-dist", "rim-next-nonempty", "hot-rule", "member-sync"],
+)
+def test_dropped_worker_rule_is_caught(monkeypatch, mutant):
+    use_in_process_fleet(monkeypatch, mutant)
+    caught = [seed for seed in SEEDS if first_divergence(seed, mutant) is not None]
+    assert caught == list(SEEDS), f"{mutant.__name__} passed seeds " + str(
+        sorted(set(SEEDS) - set(caught))
+    )
