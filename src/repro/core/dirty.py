@@ -8,7 +8,9 @@ keeps one dirty set per phase over the cells its holder *owns* and is
 the single definition of the rules that fill them. Two holders use it:
 
 * the incremental engine (:class:`repro.sim.engine.IncrementalEngine`)
-  owns the whole grid;
+  owns the whole grid, of a ``System`` or of a multi-commodity system
+  (there a dist change of any commodity fires the Route rule, and one
+  Route set covers every commodity);
 * a shard worker (:class:`repro.shard.worker.DistrictWorker`) owns one
   district. A rule fired for any cell marks only the owned neighbors;
   changes outside the district reach the worker as changed rim ghosts,

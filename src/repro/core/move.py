@@ -3,9 +3,10 @@
 A non-faulty cell whose ``next`` neighbor granted it the signal shifts all
 its entities by ``v`` toward that neighbor. Entities whose leading edge
 strictly crosses the shared boundary are transferred: removed from the
-moving cell, and — unless the neighbor is the target, which consumes them
-— added to the neighbor with their trailing edge snapped onto the
-boundary (``px := m + l/2`` and symmetric cases).
+moving cell, and — unless the neighbor consumes them (the target; in a
+multi-commodity system, the entity's own commodity's target) — added to
+the neighbor with their trailing edge snapped onto the boundary
+(``px := m + l/2`` and symmetric cases).
 
 Movement for all cells happens against a snapshot of the post-Signal
 ``signal``/``next`` values; transfers are applied after every cell has
@@ -17,7 +18,7 @@ At most one neighbor can transfer into a given cell per round because
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.core.cell import CellState, effective_signal
 from repro.core.entity import Entity
@@ -85,10 +86,14 @@ def apply_moves(
     grid: Grid,
     cells: Dict[CellId, CellState],
     params: Parameters,
-    tid: CellId,
+    consumes: Callable[[Entity, CellId], bool],
     movers: List[Tuple[CellId, CellId]],
 ) -> MovePhaseReport:
-    """Execute the Move function for the given ``(mover, next)`` pairs."""
+    """Execute the Move function for the given ``(mover, next)`` pairs.
+
+    ``consumes(entity, dst)`` says whether ``dst`` consumes an entity
+    crossing into it (``System.consumes``).
+    """
     report = MovePhaseReport()
     pending: List[Tuple[Entity, CellId, CellId, Direction]] = []
     for cid, nxt in movers:
@@ -102,7 +107,7 @@ def apply_moves(
 
     for entity, cid, nxt, toward in pending:
         cells[cid].remove_entity(entity.uid)
-        if nxt == tid:
+        if consumes(entity, nxt):
             report.consumed.append(entity)
             report.transfers.append(
                 Transfer(uid=entity.uid, src=cid, dst=nxt, consumed=True)
@@ -123,4 +128,6 @@ def move_phase(
     tid: CellId,
 ) -> MovePhaseReport:
     """Apply Move simultaneously to every non-faulty cell."""
-    return apply_moves(grid, cells, params, tid, collect_movers(cells))
+    return apply_moves(
+        grid, cells, params, lambda entity, dst: dst == tid, collect_movers(cells)
+    )

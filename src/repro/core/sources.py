@@ -22,27 +22,28 @@ from repro.core.cell import CellState
 from repro.core.params import Parameters
 from repro.geometry.point import Point
 from repro.geometry.separation import fits_among
-from repro.grid.topology import Direction
+from repro.grid.topology import CellId, Direction
 
 
 def entry_wall_center(
-    state: CellState, params: Parameters, default: Direction = Direction.NORTH
+    state: CellState, params: Parameters, nxt: Optional[CellId] = None
 ) -> Point:
-    """Candidate insertion point: flush against the wall opposite the exit.
+    """Candidate insertion point: flush against the wall opposite the exit
+    toward ``nxt`` (default: the cell's ``next``; a multi-commodity
+    source passes its commodity's next hop).
 
-    When the cell has no route yet (``next = bot``) the ``default`` exit
-    direction is assumed, so sources keep producing while routing
-    stabilizes (insertions remain safe either way — safety is re-checked
-    against the members, not the route).
+    With no exit at all (``next = bot``) a northward exit is assumed
+    (insertions remain safe either way — safety is re-checked against
+    the members, not the route).
     """
     i, j = state.cell_id
     half = params.half_l
-    if state.next_id is not None:
-        exit_dir = Direction(
-            (state.next_id[0] - i, state.next_id[1] - j)
-        )
+    if nxt is None:
+        nxt = state.next_id
+    if nxt is not None:
+        exit_dir = Direction((nxt[0] - i, nxt[1] - j))
     else:
-        exit_dir = default
+        exit_dir = Direction.NORTH
     center_x, center_y = i + 0.5, j + 0.5
     if exit_dir is Direction.EAST:
         return Point(i + half, center_y)

@@ -18,15 +18,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.cell import CellState, INFINITY
+from repro.core.dirty import LiveDistView
 from repro.core.entity import Entity
-from repro.core.move import MovePhaseReport, move_phase
+from repro.core.move import MovePhaseReport, apply_moves, collect_movers
 from repro.core.params import Parameters
 from repro.core.policies import RoundRobinTokenPolicy, TokenPolicy
-from repro.core.route import RoutePhaseReport, route_phase
-from repro.core.signal import SignalPhaseReport, signal_phase
+from repro.core.route import RoutePhaseReport, _route_step, route_phase
+from repro.core.signal import (
+    SignalPhaseReport,
+    _signal_step,
+    compute_ne_prev,
+    signal_phase,
+)
 from repro.core.sources import EagerSource, SourcePolicy
 from repro.geometry.point import Point
 from repro.grid.topology import CellId, Grid
@@ -193,7 +199,7 @@ class System:
             self.grid, self.cells, self.params, self.token_policy
         )
         self._notify_phase("signal")
-        move_report = move_phase(self.grid, self.cells, self.params, self.tid)
+        move_report = self.move_cells(self.movers())
         self._notify_phase("move")
         self.total_consumed += len(move_report.consumed)
         produced = self._produce()
@@ -207,6 +213,54 @@ class System:
         )
         self.round_index += 1
         return report
+
+    # -- one phase over given cells (the incremental engine's sweeps) ----
+
+    def route_cells(self, cids: Iterable[CellId]) -> RoutePhaseReport:
+        """Route at ``cids`` (row-major), computing every result before
+        writing any, so the cells read each other's pre-phase dists
+        exactly as the simultaneous sweep of :meth:`update` does."""
+        cells = self.cells
+        view = LiveDistView(cells)
+        updates = []
+        for cid in cids:
+            state = cells[cid]
+            if state.failed or cid == self.tid:
+                continue
+            new_dist, new_next = _route_step(self.grid, cid, view)
+            if new_dist != state.dist or new_next != state.next_id:
+                updates.append((state, new_dist, new_next))
+        report = RoutePhaseReport()
+        for state, new_dist, new_next in updates:
+            if new_dist != state.dist:
+                report.changed_dist.append(state.cell_id)
+                state.dist = new_dist
+            if new_next != state.next_id:
+                report.changed_next.append(state.cell_id)
+                state.next_id = new_next
+        return report
+
+    def signal_cells(self, cids: Iterable[CellId]) -> SignalPhaseReport:
+        """Signal at the non-failed cells among ``cids`` (row-major)."""
+        report = SignalPhaseReport()
+        for cid in cids:
+            state = self.cells[cid]
+            if not state.failed:
+                ne_prev = compute_ne_prev(self.grid, self.cells, cid)
+                _signal_step(state, ne_prev, self.params, self.token_policy, report)
+        return report
+
+    def movers(self) -> List[Tuple[CellId, CellId]]:
+        """The ``(mover, next)`` pairs whose ``next`` granted the mover."""
+        return collect_movers(self.cells)
+
+    def move_cells(self, movers: List[Tuple[CellId, CellId]]) -> MovePhaseReport:
+        """Move the given ``(mover, next)`` pairs, in order."""
+        return apply_moves(self.grid, self.cells, self.params, self.consumes, movers)
+
+    def consumes(self, entity: Entity, dst: CellId) -> bool:
+        """Does ``dst`` consume ``entity`` on arrival? (It is the target.)"""
+        return dst == self.tid
 
     def _notify_phase(self, name: str) -> None:
         if self.phase_observer is not None:

@@ -14,9 +14,8 @@ Layout:
   schedules behind the ``WORKLOAD_PROFILES`` registry;
 * :mod:`repro.multiflow.system` — the multi-commodity round automaton
   (per-commodity Route with ECMP tie-splitting, residency-aware
-  Signal, commodity-tagged Move/produce);
-* :mod:`repro.multiflow.engine` — reference and incremental round
-  engines over that automaton;
+  Signal, commodity-tagged Move/produce), run by the core
+  ``reference`` and ``incremental`` engines (:data:`MULTIFLOW_ENGINES`);
 * :mod:`repro.multiflow.monitors` — the monitor suite extended with
   type-exclusivity and per-commodity conservation checks.
 
@@ -39,7 +38,13 @@ from repro.multiflow.workload import (
     resolve_workload,
 )
 
+#: The round engines that run a multi-commodity system: the rest of
+#: ``repro.sim.engine.ENGINES`` read single-flow state (``tid``) and are
+#: refused by config validation and by ``make_engine``.
+MULTIFLOW_ENGINES = ("reference", "incremental")
+
 __all__ = [
+    "MULTIFLOW_ENGINES",
     "Commodity",
     "CommodityTable",
     "default_commodities",

@@ -32,7 +32,13 @@ The automaton deliberately reuses the core phase *reports*
 (``token`` / ``signal`` / ``ne_prev``), so the monitor suite, the
 observability layer, and the canonical-state differential harness all
 apply unchanged; per-commodity state lives in the ``dists`` /
-``nexts`` dict extensions of :class:`MultiCommodityCellState`.
+``nexts`` dict extensions of :class:`MultiCommodityCellState`. The
+phases call the core code (``_signal_step`` with the residency test as
+its grant predicate, ``apply_moves`` with :meth:`consumes`, the core
+entry-wall rule), and the system implements the one-phase methods
+(``route_cells`` / ``signal_cells`` / ``move_cells``) the core
+incremental engine drives, so the core ``reference`` and
+``incremental`` engines run it.
 
 Known limitation, documented in ``docs/multiflow.md``: commodities
 forced head-to-head through shared corridors can gridlock;
@@ -44,7 +50,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.cell import (
     DIST_SENTINEL,
@@ -52,17 +58,18 @@ from repro.core.cell import (
     CellState,
     dist_from_int,
     dist_to_int,
+    effective_signal,
 )
 from repro.core.entity import Entity
-from repro.core.move import MovePhaseReport, Transfer, crossed_boundary
+from repro.core.move import MovePhaseReport, apply_moves
 from repro.core.params import Parameters
 from repro.core.policies import RoundRobinTokenPolicy, TokenPolicy
 from repro.core.route import RoutePhaseReport
-from repro.core.signal import SignalPhaseReport, gap_clear
+from repro.core.signal import SignalPhaseReport, _signal_step, gap_clear
+from repro.core.sources import entry_wall_center
 from repro.core.system import RoundReport
-from repro.geometry.point import Point
 from repro.geometry.separation import fits_among
-from repro.grid.topology import CellId, Direction, Grid, direction_between
+from repro.grid.topology import CellId, Grid
 from repro.multiflow.commodities import Commodity, CommodityTable
 from repro.multiflow.workload import WorkloadProfile, resolve_workload
 
@@ -120,16 +127,16 @@ class MultiCommodityCellState(CellState):
 class MultiCommoditySystem:
     """The multi-commodity system automaton.
 
-    Drop-in compatible with the simulator surface of the single-flow
-    ``System``: ``update() -> RoundReport``, ``fail`` / ``recover``,
-    ``phase_observer`` / ``cell_observer`` hooks, scalar
-    ``total_produced`` / ``total_consumed``, plus the per-commodity
-    ``produced_by_commodity`` / ``consumed_by_commodity`` ledgers the
-    conservation oracle audits.
+    Drop-in compatible with the simulator and engine surface of the
+    single-flow ``System``: ``update() -> RoundReport``, the one-phase
+    methods, ``fail`` / ``recover``, ``phase_observer`` /
+    ``cell_observer`` hooks, scalar ``total_produced`` /
+    ``total_consumed``, plus the per-commodity ``produced_by_commodity``
+    / ``consumed_by_commodity`` ledgers the conservation oracle audits.
     """
 
-    #: Marks the system for engine dispatch and the differential
-    #: harness's canonical-state extension.
+    #: Marks the system for the engine refusal in ``make_engine`` and the
+    #: differential harness's canonical-state extension.
     is_multiflow = True
 
     def __init__(
@@ -227,11 +234,11 @@ class MultiCommoditySystem:
 
     def update(self) -> RoundReport:
         """One synchronous round: Route; Signal; Move; production."""
-        route_report = self._route_phase()
+        route_report = self.route_cells(self.cells)
         self._notify_phase("route")
-        signal_report = self._signal_phase()
+        signal_report = self.signal_cells(self.cells)
         self._notify_phase("signal")
-        move_report = self._move_phase()
+        move_report = self.move_cells(self.movers())
         self._notify_phase("move")
         self.total_consumed += len(move_report.consumed)
         produced = self._produce()
@@ -252,30 +259,42 @@ class MultiCommoditySystem:
 
     # -- Route ---------------------------------------------------------
 
-    def _route_phase(self) -> RoutePhaseReport:
-        changed_dist: Set[CellId] = set()
-        changed_next: Set[CellId] = set()
-        for index, commodity in enumerate(self.table):
-            name = commodity.name
-            snapshot = {
-                cid: (INFINITY if cell.failed else cell.dists[name])
-                for cid, cell in self.cells.items()
-            }
-            for cid, cell in self.cells.items():
-                if cell.failed or cid == commodity.target:
+    def route_cells(self, cids: Iterable[CellId]) -> RoutePhaseReport:
+        """Route at ``cids`` (row-major) for every commodity, computing
+        every result before writing any (the Jacobi step of the core
+        ``System.route_cells``). A cell is reported once when any of its
+        commodities' dist (next) changed."""
+        cells = self.cells
+
+        def live(name: str) -> Callable[[CellId], float]:
+            return lambda n: INFINITY if cells[n].failed else cells[n].dists[name]
+
+        commodities = [
+            (index, c.name, c.target, live(c.name))
+            for index, c in enumerate(self.table)
+        ]
+        updates = []
+        for cid in cids:
+            cell = cells[cid]
+            if cell.failed:
+                continue
+            for index, name, target, dist_of in commodities:
+                if cid == target:
                     continue
-                new_dist, new_next = self._route_step(
-                    index, cid, snapshot.__getitem__
-                )
-                if new_dist != cell.dists[name]:
-                    cell.dists[name] = new_dist
-                    changed_dist.add(cid)
-                if new_next != cell.nexts[name]:
-                    cell.nexts[name] = new_next
-                    changed_next.add(cid)
+                new_dist, new_next = self._route_step(index, cid, dist_of)
+                if new_dist != cell.dists[name] or new_next != cell.nexts[name]:
+                    updates.append((cell, name, new_dist, new_next))
+        changed_dist: Dict[CellId, None] = {}
+        changed_next: Dict[CellId, None] = {}
+        for cell, name, new_dist, new_next in updates:
+            if new_dist != cell.dists[name]:
+                cell.dists[name] = new_dist
+                changed_dist[cell.cell_id] = None
+            if new_next != cell.nexts[name]:
+                cell.nexts[name] = new_next
+                changed_next[cell.cell_id] = None
         return RoutePhaseReport(
-            changed_dist=sorted(changed_dist, key=_row_major),
-            changed_next=sorted(changed_next, key=_row_major),
+            changed_dist=list(changed_dist), changed_next=list(changed_next)
         )
 
     def _route_step(
@@ -309,106 +328,70 @@ class MultiCommoditySystem:
             return None
         return cell.nexts[resident]
 
-    def _signal_phase(self) -> SignalPhaseReport:
+    def signal_cells(self, cids: Iterable[CellId]) -> SignalPhaseReport:
+        """Signal at the non-failed cells among ``cids`` (row-major): the
+        core rule, with ``NEPrev`` read through residency and a grant
+        test that checks residency before the gap, so a type-exclusion
+        block is reported as ``"residency"`` even when the strip is also
+        occupied (which it is, by the resident entities)."""
         report = SignalPhaseReport()
-        ne_prev_map: Dict[CellId, Set[CellId]] = {}
-        for cid, cell in self.cells.items():
+
+        def admits(cell, toward, params) -> bool:
+            incoming = self.cells[cell.token].resident_commodity
+            resident = cell.resident_commodity
+            if not (
+                resident is None
+                or resident == incoming
+                or self.table.by_name(incoming).target == cell.cell_id
+            ):
+                report.block_reasons[cell.cell_id] = "residency"
+                return False
+            if not gap_clear(cell, toward, params):
+                report.block_reasons[cell.cell_id] = "gap"
+                return False
+            return True
+
+        for cid in cids:
+            cell = self.cells[cid]
             if cell.failed:
                 continue
-            inbound: Set[CellId] = set()
-            for nbr in self.grid.neighbors(cid):
-                nstate = self.cells[nbr]
-                if nstate.failed or not nstate.members:
-                    continue
-                if self._moving_direction(nbr) == cid:
-                    inbound.add(nbr)
-            ne_prev_map[cid] = inbound
-        for cid, ne_prev in ne_prev_map.items():
-            cell = self.cells[cid]
-            cell.ne_prev = ne_prev
-            if cell.token is not None and cell.token not in ne_prev:
-                cell.token = None
-            if cell.token is None:
-                cell.token = self.token_policy.initial(ne_prev)
-            if cell.token is None:
-                cell.signal = None
-                continue
-            reason = self._grant_block_reason(cid, cell, cell.token)
-            if reason is None:
-                cell.signal = cell.token
-                report.granted[cid] = cell.token
-                cell.token = self.token_policy.rotate(ne_prev, cell.token)
-                if cell.token != cell.signal:
-                    report.rotated.append((cid, cell.signal, cell.token))
-            else:
-                cell.signal = None
-                report.blocked.append(cid)
-                report.block_reasons[cid] = reason
+            ne_prev = {
+                nbr
+                for nbr in self.grid.neighbors(cid)
+                if self.cells[nbr].members
+                and not self.cells[nbr].failed
+                and self._moving_direction(nbr) == cid
+            }
+            _signal_step(
+                cell, ne_prev, self.params, self.token_policy, report, gap=admits
+            )
         return report
-
-    def _grant_block_reason(
-        self, cid: CellId, cell: MultiCommodityCellState, holder_id: CellId
-    ) -> Optional[str]:
-        """Why the token holder cannot be granted, or None to grant.
-
-        Residency is checked before the gap so a type-exclusion block
-        is reported as ``"residency"`` even when the strip is also
-        occupied (which it is, by the resident entities).
-        """
-        holder = self.cells[holder_id]
-        resident = cell.resident_commodity
-        incoming = holder.resident_commodity
-        compatible = (
-            resident is None
-            or resident == incoming
-            or self.table.by_name(incoming).target == cid
-        )
-        if not compatible:
-            return "residency"
-        toward = direction_between(cid, holder_id)
-        if not gap_clear(cell, toward, self.params):
-            return "gap"
-        return None
 
     # -- Move ----------------------------------------------------------
 
-    def _move_phase(self) -> MovePhaseReport:
-        report = MovePhaseReport()
-        movers: List[Tuple[CellId, CellId]] = []
-        for cid, cell in self.cells.items():
-            if cell.failed or not cell.members:
-                continue
-            nxt = self._moving_direction(cid)
-            if nxt is None:
-                continue
-            nstate = self.cells[nxt]
-            if not nstate.failed and nstate.signal == cid:
-                movers.append((cid, nxt))
-        half_l = self.params.half_l
-        pending: List[Tuple[Entity, CellId, CellId, Direction]] = []
-        for cid, nxt in movers:
-            report.moved_cells.append(cid)
-            direction = direction_between(cid, nxt)
-            for entity in self.cells[cid].entities():
-                entity.translate(direction, self.params.v)
-                if crossed_boundary(entity, cid, direction, half_l):
-                    pending.append((entity, cid, nxt, direction))
-        for entity, src, dst, direction in pending:
-            self.cells[src].remove_entity(entity.uid)
-            name = commodity_of(entity)
-            if self.table.by_name(name).target == dst:
-                report.consumed.append(entity)
-                self.consumed_by_commodity[name] += 1
-                report.transfers.append(
-                    Transfer(uid=entity.uid, src=src, dst=dst, consumed=True)
-                )
-            else:
-                entity.snap_to_entry_edge(dst, direction, half_l)
-                self.cells[dst].add_entity(entity)
-                report.transfers.append(
-                    Transfer(uid=entity.uid, src=src, dst=dst, consumed=False)
-                )
+    def movers(self) -> List[Tuple[CellId, CellId]]:
+        """The ``(mover, next)`` pairs whose next hop (the resident
+        commodity's) granted the mover."""
+        return [
+            (cid, nxt)
+            for cid, cell in self.cells.items()
+            if cell.members
+            and not cell.failed
+            and (nxt := self._moving_direction(cid)) is not None
+            and effective_signal(self.cells[nxt]) == cid
+        ]
+
+    def move_cells(self, movers: List[Tuple[CellId, CellId]]) -> MovePhaseReport:
+        """Move the given pairs (core ``apply_moves``) and book each
+        consumed entity to its commodity's ledger."""
+        report = apply_moves(self.grid, self.cells, self.params, self.consumes, movers)
+        for entity in report.consumed:
+            self.consumed_by_commodity[commodity_of(entity)] += 1
         return report
+
+    def consumes(self, entity: Entity, dst: CellId) -> bool:
+        """Does ``dst`` consume ``entity``? (Its commodity's target.)"""
+        return self.table.by_name(commodity_of(entity)).target == dst
 
     # -- Production ----------------------------------------------------
 
@@ -428,7 +411,7 @@ class MultiCommoditySystem:
                 nxt = cell.nexts[name]
                 if nxt is None:
                     continue
-                candidate = self._entry_point(cid, nxt)
+                candidate = entry_wall_center(cell, self.params, nxt)
                 centers = [e.center for e in cell.members.values()]
                 if not fits_among(candidate, centers, self.params.d):
                     continue
@@ -446,19 +429,6 @@ class MultiCommoditySystem:
                 self.produced_by_commodity[name] += 1
                 produced.append(entity)
         return produced
-
-    def _entry_point(self, cid: CellId, nxt: CellId) -> Point:
-        """Lane-centered insertion point on the wall opposite the exit."""
-        i, j = cid
-        half = self.params.half_l
-        exit_dir = direction_between(cid, nxt)
-        if exit_dir is Direction.EAST:
-            return Point(i + half, j + 0.5)
-        if exit_dir is Direction.WEST:
-            return Point(i + 1 - half, j + 0.5)
-        if exit_dir is Direction.NORTH:
-            return Point(i + 0.5, j + half)
-        return Point(i + 0.5, j + 1 - half)
 
     # ------------------------------------------------------------------
     # Queries
@@ -525,7 +495,3 @@ class MultiCommoditySystem:
             visited.update(trail)
         return cycles
 
-
-def _row_major(cid: CellId) -> Tuple[int, int]:
-    """Row-major sort key ``(j, i)``, matching the grid sweep order."""
-    return (cid[1], cid[0])

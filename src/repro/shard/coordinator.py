@@ -345,7 +345,7 @@ class ShardCoordinator:
             key=lambda pair: _row_major(pair[0]),
         )
         report = apply_moves(
-            system.grid, system.cells, system.params, system.tid, movers
+            system.grid, system.cells, system.params, system.consumes, movers
         )
         return report, movers
 

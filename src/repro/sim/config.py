@@ -16,6 +16,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.params import Parameters
 from repro.grid.topology import CellId
+from repro.multiflow import MULTIFLOW_ENGINES
 from repro.multiflow.commodities import Commodity
 
 
@@ -201,10 +202,10 @@ class SimulationConfig:
                 f"unknown token policy {self.token_policy!r}; available: "
                 f"{sorted(TOKEN_POLICIES)}"
             )
-        if self.engine not in (None, "reference", "incremental"):
+        if self.engine is not None and self.engine not in MULTIFLOW_ENGINES:
             raise ValueError(
                 f"engine {self.engine!r} does not support multi-commodity "
-                "systems; use 'reference', 'incremental', or None"
+                f"systems; choose from {sorted(MULTIFLOW_ENGINES)} or None"
             )
         if self.shards is not None:
             raise ValueError("multi-commodity mode does not support shards")

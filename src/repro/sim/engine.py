@@ -35,7 +35,13 @@ engines without touching any config.
 
 Dirty-set rules: Route and Signal follow :mod:`repro.core.dirty`, the
 one definition the incremental engine and the shard workers share (see
-docs/performance.md for the full derivation). The other two phases:
+docs/performance.md for the full derivation). The engine runs each
+phase through the system's one-phase methods (``route_cells``,
+``signal_cells``, ``move_cells``), which a ``System`` and a
+:class:`~repro.multiflow.system.MultiCommoditySystem` both implement,
+so the reference and incremental engines run both kinds of system
+(the other engines read single-flow state and are refused one). The
+other two phases:
 
 ========  ==========================================================
 Move      movers are derived from this round's grant report: cell
@@ -56,14 +62,15 @@ from the reference engine.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, Optional, Type
 
-from repro.core.dirty import DirtyCells, LiveDistView, row_major as _row_major
-from repro.core.move import MovePhaseReport, apply_moves
-from repro.core.route import RoutePhaseReport, _route_step
-from repro.core.signal import SignalPhaseReport, _signal_step, compute_ne_prev
+from repro.core.dirty import DirtyCells, row_major as _row_major
+from repro.core.move import MovePhaseReport
+from repro.core.route import RoutePhaseReport
+from repro.core.signal import SignalPhaseReport
 from repro.core.system import RoundReport, System
 from repro.grid.topology import CellId
+from repro.multiflow import MULTIFLOW_ENGINES
 
 #: Environment variable naming the engine sweeps/benchmarks should use.
 ENV_ENGINE = "REPRO_ENGINE"
@@ -178,34 +185,12 @@ class IncrementalEngine(RoundEngine, DirtyCells):
         return report
 
     def _route_phase(self) -> RoutePhaseReport:
-        """Route over the dirty set only (Jacobi semantics preserved).
-
-        All new values are computed against the live pre-write state and
-        applied afterwards, so dirty cells still observe each other's
-        *previous-round* dists exactly as the simultaneous reference
-        sweep does.
-        """
-        system = self.system
-        cells = system.cells
-        report = RoutePhaseReport()
-        view = LiveDistView(cells)
-        updates: List[Tuple[CellId, float, Optional[CellId]]] = []
-        for cid in self._take_route_dirty():
-            state = cells[cid]
-            if state.failed or cid == system.tid:
-                continue
-            new_dist, new_next = _route_step(system.grid, cid, view)
-            if new_dist != state.dist or new_next != state.next_id:
-                updates.append((cid, new_dist, new_next))
-        for cid, new_dist, new_next in updates:
-            state = cells[cid]
-            if new_dist != state.dist:
-                report.changed_dist.append(cid)
-                state.dist = new_dist
-                self._mark_dist_change(cid)
-            if new_next != state.next_id:
-                report.changed_next.append(cid)
-                state.next_id = new_next
+        """Route over the dirty set only (Jacobi semantics preserved:
+        ``route_cells`` writes nothing until every dirty cell is
+        evaluated)."""
+        report = self.system.route_cells(self._take_route_dirty())
+        for cid in report.changed_dist:
+            self._mark_dist_change(cid)
         return report
 
     def _signal_phase(self, route_report: RoutePhaseReport) -> SignalPhaseReport:
@@ -217,19 +202,14 @@ class IncrementalEngine(RoundEngine, DirtyCells):
         byte-exact no-op (and consumes no policy randomness; see the
         token-policy contract in the module docstring).
         """
-        system = self.system
-        cells = system.cells
-        grid = system.grid
+        cells = self.system.cells
         for changed in route_report.changed_next:
             self._mark_next_change(changed)
-        report = SignalPhaseReport()
-        for cid in self._take_signal_pending():
-            state = cells[cid]
-            if state.failed:
-                continue
-            ne_prev = compute_ne_prev(grid, cells, cid)
-            _signal_step(state, ne_prev, system.params, system.token_policy, report)
-            self._keep_hot(cid, ne_prev)
+        pending = self._take_signal_pending()
+        report = self.system.signal_cells(pending)
+        for cid in pending:
+            if not cells[cid].failed:
+                self._keep_hot(cid, cells[cid].ne_prev)
         return report
 
     def _move_phase(self, signal_report: SignalPhaseReport) -> MovePhaseReport:
@@ -241,14 +221,11 @@ class IncrementalEngine(RoundEngine, DirtyCells):
         round, the grant report is exactly the reference engine's
         ``effective_signal`` scan.
         """
-        system = self.system
         movers = sorted(
             ((grantee, granter) for granter, grantee in signal_report.granted.items()),
             key=lambda pair: _row_major(pair[0]),
         )
-        report = apply_moves(
-            system.grid, system.cells, system.params, system.tid, movers
-        )
+        report = self.system.move_cells(movers)
         for transfer in report.transfers:
             self._mark_membership_change(transfer.src)
             if not transfer.consumed:
@@ -301,15 +278,18 @@ def make_engine(name: str, system: System, config=None) -> RoundEngine:
     ``config`` (the run's :class:`~repro.sim.config.SimulationConfig`)
     is passed through to the engine; engines with deployment knobs —
     the sharded engine's ``shards`` — read it, the rest ignore it.
+    Raises ``ValueError`` for an unknown name, and for an engine outside
+    :data:`~repro.multiflow.MULTIFLOW_ENGINES` on a multi-commodity
+    system (the name may come from ``REPRO_ENGINE``, past config
+    validation).
     """
     if name not in ENGINES:
         raise ValueError(
             f"unknown round engine {name!r}; available: {sorted(ENGINES)}"
         )
-    if getattr(system, "is_multiflow", False):
-        # Multi-commodity systems have their own engine pair under the
-        # same public names; vectorized/sharded raise there.
-        from repro.multiflow.engine import make_multiflow_engine
-
-        return make_multiflow_engine(name, system, config)
+    if getattr(system, "is_multiflow", False) and name not in MULTIFLOW_ENGINES:
+        raise ValueError(
+            f"engine {name!r} does not support multi-commodity systems; "
+            f"choose from {sorted(MULTIFLOW_ENGINES)}"
+        )
     return ENGINES[name](system, config)

@@ -211,7 +211,7 @@ class VectorizedEngine(RoundEngine):
             key=lambda pair: _row_major(pair[0]),
         )
         report = apply_moves(
-            system.grid, system.cells, system.params, system.tid, movers
+            system.grid, system.cells, system.params, system.consumes, movers
         )
         member_count = self.arrays.member_count
         flat = self.arrays.flat

@@ -359,7 +359,7 @@ def random_multiflow_config(
     sampled workload profile, every token policy, and (by default)
     Bernoulli fault churn with protected targets — recovery of a
     commodity target resets its own dist-0 row, which is exactly the
-    bookkeeping the per-commodity dirty sets must get right.
+    bookkeeping the incremental engine's dirty sets must get right.
     """
     from repro.multiflow.commodities import Commodity
     from repro.multiflow.workload import WORKLOAD_PROFILES

@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.fuzz.oracles import ORACLES
+from repro.multiflow import MULTIFLOW_ENGINES
 from repro.multiflow.workload import WORKLOAD_PROFILES
 from repro.obs.events import BLOCK_REASONS, EVENT_TYPES
 from repro.obs.instrument import METRIC_NAMES
@@ -196,8 +197,11 @@ def test_metrics_table_matches_catalog():
 
 def test_engine_table_matches_registry():
     """docs/performance.md's registry table names every engine, with the
-    class that implements it — diffed against ``repro.sim.engine.ENGINES``."""
+    class that implements it — diffed against ``repro.sim.engine.ENGINES``
+    — and says which engines run multi-commodity systems, diffed against
+    ``repro.multiflow.MULTIFLOW_ENGINES``."""
     documented = {}
+    multi_commodity = {}
     for cells in table_rows("## Engine registry", doc=PERFORMANCE_DOC):
         names = backticked(cells[0])
         if len(cells) < 3 or len(names) != 1:
@@ -205,6 +209,19 @@ def test_engine_table_matches_registry():
         classes = backticked(cells[1])
         assert len(classes) == 1, f"expected one class in row for {names[0]}"
         documented[names[0]] = classes[0]
+        assert len(cells) == 4, f"{names[0]}: no Multi-commodity column"
+        multi_commodity[names[0]] = cells[3].split()[0]
+        # The column may name only classes that exist.
+        engine_classes = {engine.__name__ for engine in ENGINES.values()}
+        assert set(backticked(cells[3])) <= engine_classes, cells[3]
+    supported = {name for name, flag in multi_commodity.items() if flag == "yes"}
+    assert supported == set(MULTIFLOW_ENGINES), (
+        f"Multi-commodity column says {sorted(supported)}, "
+        f"code supports {sorted(MULTIFLOW_ENGINES)}"
+    )
+    assert {
+        flag for name, flag in multi_commodity.items() if name not in supported
+    } <= {"no"}
     assert set(documented) == set(ENGINES), (
         f"engine table out of sync: documented {sorted(documented)}, "
         f"code has {sorted(ENGINES)}"

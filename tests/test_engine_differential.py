@@ -370,7 +370,7 @@ class _StaleSignalEngine(IncrementalEngine):
             system.grid,
             system.cells,
             system.params,
-            system.tid,
+            system.consumes,
             collect_movers(system.cells),
         )
         for transfer in report.transfers:

@@ -12,6 +12,11 @@ off-by-``l/2`` transfer-snap bug — and asserts, for each:
 3. the written JSON artifact, replayed through the ``fuzz replay`` CLI,
    reproduces the identical violation (exit code 0).
 
+The campaign's multi-commodity seeds run the same incremental engine,
+so each mutant re-expresses its phase through the system's own phase
+methods (``signal_cells``, ``movers``, ``move_cells``) and plants the
+same bug on both kinds of system.
+
 The campaigns run with ``workers=1`` on purpose: monkeypatched engine
 classes exist only in this process, and the in-process path of
 ``ParallelSweepRunner`` is what keeps them visible to the oracles.
@@ -21,13 +26,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.move import MovePhaseReport, Transfer, crossed_boundary
 from repro.grid.topology import direction_between
 from repro.fuzz.campaign import run_campaign
 from repro.fuzz.generator import generate_scenario
 from repro.fuzz.shrink import replay_repro, shrink_scenario, write_repro
 from repro.sim import engine as engine_module
-from repro.sim.engine import ENGINES, IncrementalEngine, _row_major
+from repro.sim.engine import ENGINES, IncrementalEngine
 from repro.cli.main import main as cli_main
 
 #: Seed range the campaigns scan. Wide enough that every mutant is hit
@@ -47,41 +51,25 @@ class _StaleSignalEngine(IncrementalEngine):
     """PLANTED (PR 4): a granted signal is never re-evaluated."""
 
     def _signal_phase(self, route_report):
-        from repro.core.signal import (
-            SignalPhaseReport,
-            _signal_step,
-            compute_ne_prev,
-        )
-
         system = self.system
-        pending = self._signal_pending
         for changed in route_report.changed_next:
-            pending.update(system.grid.neighbors(changed))
-        self._signal_pending = set()
-        report = SignalPhaseReport()
-        for cid in sorted(pending, key=_row_major):
-            state = system.cells[cid]
-            if state.failed:
-                continue
-            if state.signal is not None:
-                continue  # MUTANT: "a granted signal stays valid"
-            ne_prev = compute_ne_prev(system.grid, system.cells, cid)
-            _signal_step(state, ne_prev, system.params, system.token_policy, report)
-            if ne_prev:
+            self._signal_pending.update(system.grid.neighbors(changed))
+        # MUTANT: "a granted signal stays valid" - cells holding one are
+        # skipped although they are legitimately pending.
+        pending = [
+            cid
+            for cid in self._take_signal_pending()
+            if not system.cells[cid].failed and system.cells[cid].signal is None
+        ]
+        report = system.signal_cells(pending)
+        for cid in pending:
+            if system.cells[cid].ne_prev:
                 self._signal_pending.add(cid)
         return report
 
     def _move_phase(self, signal_report):
-        from repro.core.move import apply_moves, collect_movers
-
         system = self.system
-        report = apply_moves(
-            system.grid,
-            system.cells,
-            system.params,
-            system.tid,
-            collect_movers(system.cells),
-        )
+        report = system.move_cells(system.movers())
         for transfer in report.transfers:
             self._mark_membership_change(transfer.src)
             if not transfer.consumed:
@@ -103,42 +91,13 @@ class _OffByHalfSnapEngine(IncrementalEngine):
     """
 
     def _move_phase(self, signal_report):
-        system = self.system
-        movers = sorted(
-            (
-                (grantee, granter)
-                for granter, grantee in signal_report.granted.items()
-            ),
-            key=lambda pair: _row_major(pair[0]),
-        )
-        report = MovePhaseReport()
-        pending = []
-        for cid, nxt in movers:
-            state = system.cells[cid]
-            toward = direction_between(cid, nxt)
-            report.moved_cells.append(cid)
-            for entity in state.entities():
-                entity.translate(toward, system.params.v)
-                if crossed_boundary(entity, cid, toward, system.params.half_l):
-                    pending.append((entity, cid, nxt, toward))
-        for entity, cid, nxt, toward in pending:
-            system.cells[cid].remove_entity(entity.uid)
-            if nxt == system.tid:
-                report.consumed.append(entity)
-                report.transfers.append(
-                    Transfer(uid=entity.uid, src=cid, dst=nxt, consumed=True)
-                )
-            else:
-                # MUTANT: half_l = 0 — snap onto the wall, not past it.
-                entity.snap_to_entry_edge(nxt, toward, 0.0)
-                system.cells[nxt].add_entity(entity)
-                report.transfers.append(
-                    Transfer(uid=entity.uid, src=cid, dst=nxt, consumed=False)
-                )
+        report = super()._move_phase(signal_report)
         for transfer in report.transfers:
-            self._mark_membership_change(transfer.src)
             if not transfer.consumed:
-                self._mark_membership_change(transfer.dst)
+                entity = self.system.cells[transfer.dst].members[transfer.uid]
+                toward = direction_between(transfer.src, transfer.dst)
+                # MUTANT: half_l = 0 — snap onto the wall, not past it.
+                entity.snap_to_entry_edge(transfer.dst, toward, 0.0)
         return report
 
 

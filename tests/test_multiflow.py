@@ -396,6 +396,24 @@ class TestWiring:
         with pytest.raises(ValueError, match="does not support shards"):
             crossing_config(engine="reference", shards=2)
 
+    @pytest.mark.parametrize("engine", ["vectorized", "timed", "sharded"])
+    def test_unsupported_engine_is_refused(self, monkeypatch, engine):
+        """An engine that reads single-flow state is refused up front
+        with the supported pair named, whether it comes from the config,
+        the ``engine=`` argument or ``REPRO_ENGINE`` (input from outside
+        the program)."""
+        refusal = (
+            rf"engine {engine!r} does not support multi-commodity systems; "
+            r"choose from \['incremental', 'reference'\]"
+        )
+        with pytest.raises(ValueError, match=refusal):
+            crossing_config(engine=engine)
+        with pytest.raises(ValueError, match=refusal):
+            build_simulation(crossing_config(), engine=engine)
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        with pytest.raises(ValueError, match=refusal):
+            build_simulation(crossing_config())
+
     def test_config_round_trips_through_json(self):
         config = crossing_config(workload="flash-crowd", engine="incremental")
         clone = SimulationConfig.from_dict(
