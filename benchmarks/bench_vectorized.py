@@ -1,5 +1,6 @@
 """Vectorized-engine scaling: array-native sweeps vs the full-sweep
-reference at N in {16, 64, 256, 1024}.
+reference at N in {16, 64, 256, 1024}, and the whole round loop against
+the engine at 256.
 
 The workload is the paper's straight corridor at ``x = 1`` stretched to
 an ``N x N`` grid with the complement alive but idle — the shape whose
@@ -7,18 +8,27 @@ Route/Signal sweeps are pure per-cell overhead for the object engines,
 and exactly what the structure-of-arrays core turns into whole-grid
 numpy operations.
 
-Methodology: each measurement times ``engine.step()`` directly (system
-construction excluded), not ``Simulator.step()`` — the simulator's
-occupancy/entity probes are themselves ``O(N^2)`` Python per round and
-would drown the engine delta at the largest grids. The reference engine
-is measured up to 256 (a 1024x1024 full Python sweep takes minutes per
-round); at 1024 the vectorized engine runs alone and its entry records
-``speedup: null``.
+Methodology, scaling: each measurement times ``engine.step()`` directly
+(system construction excluded), so the entries compare engines and
+nothing else. The reference engine is measured up to 256 (a 1024x1024
+full Python sweep takes minutes per round); at 1024 the vectorized
+engine runs alone and its entry records ``speedup: null``.
 
-The acceptance gate is the tentpole's bar: >= 10x over the reference on
-the 64x64 grid. Results land in repo-root ``BENCH_vectorized.json``
-(the tracked trajectory file; schema: engine, grid N, rounds/sec,
-speedup) with a working copy in ``benchmarks/results/``.
+Methodology, loop: ``Simulator.step()`` with monitors off runs the fault
+injector, the engine and the meters. None of them walks the grid each
+round: the injector keeps its live and failed lists from fault events,
+and the occupancy probe carries its counts from the round reports. So
+the loop should cost little more than the engine. Two twin simulators of
+the 256 corridor warm up for ``LOOP_WARMUP`` rounds, then step in
+alternating blocks of ``LOOP_BLOCK`` rounds, one through
+``Simulator.step()`` and the other through ``engine.step()`` alone;
+each block is timed in CPU seconds and both see the same states.
+
+The acceptance gates: >= 10x over the reference on the 64x64 grid, and
+the loop at most 1.25x the engine at 256. Results land in repo-root
+``BENCH_vectorized.json`` (the tracked trajectory file; schema: engine,
+grid N, rounds/sec, speedup, and the loop/engine ratio) with a working
+copy in ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -45,6 +55,13 @@ REFERENCE_ROUNDS = {16: 400, 64: 40, 256: 8}
 
 SPEEDUP_GATE_GRID = 64
 SPEEDUP_GATE = 10.0
+
+LOOP_GRID = 256
+LOOP_WARMUP = 300
+LOOP_BLOCK = 20
+LOOP_BLOCKS = 10
+#: ``Simulator.step()`` may take at most this many times ``engine.step()``.
+LOOP_GATE = 1.25
 
 
 def scaling_config(n: int, rounds: int) -> SimulationConfig:
@@ -93,13 +110,45 @@ def _scaling_entry(n: int) -> dict:
     return entry
 
 
+def _loop_entry() -> dict:
+    """``Simulator.step()`` against ``engine.step()`` on twin 256 corridors."""
+    config = scaling_config(LOOP_GRID, LOOP_WARMUP + LOOP_BLOCK * LOOP_BLOCKS)
+    loop = build_simulation(config, engine="vectorized")
+    alone = build_simulation(config, engine="vectorized")
+    for _ in range(LOOP_WARMUP):
+        loop.step()
+        alone.engine.step()
+    sides = {"loop": loop.step, "engine": alone.engine.step}
+    seconds = dict.fromkeys(sides, 0.0)
+    for block in range(LOOP_BLOCKS):
+        order = ("loop", "engine") if block % 2 == 0 else ("engine", "loop")
+        for name in order:
+            step = sides[name]
+            start = time.process_time()
+            for _ in range(LOOP_BLOCK):
+                step()
+            seconds[name] += time.process_time() - start
+    assert loop.system.total_consumed == alone.system.total_consumed
+    rounds = LOOP_BLOCK * LOOP_BLOCKS
+    return {
+        "grid": LOOP_GRID,
+        "warmup": LOOP_WARMUP,
+        "rounds": rounds,
+        "engine_rounds_per_cpu_sec": rounds / seconds["engine"],
+        "loop_rounds_per_cpu_sec": rounds / seconds["loop"],
+        "loop_over_engine": seconds["loop"] / seconds["engine"],
+    }
+
+
 def test_vectorized_scaling(benchmark, results_dir):
     def experiment():
         return {
             "schema": 1,
             "workload": "straight corridor at x=1, complement alive, "
-            "monitors off, engine.step() timed directly",
+            "monitors off, engine.step() timed directly; loop: "
+            "Simulator.step() against engine.step() at 256",
             "entries": [_scaling_entry(n) for n in GRID_SIZES],
+            "loop": _loop_entry(),
         }
 
     record = run_once(benchmark, experiment)
@@ -117,9 +166,17 @@ def test_vectorized_scaling(benchmark, results_dir):
         )
         print(f"\nN={entry['grid']}: vectorized {vec:.0f} r/s {label}")
 
-    # The tentpole's acceptance bar: >= 10x on the 64x64 grid.
+    ratio = record["loop"]["loop_over_engine"]
+    print(f"\nN={LOOP_GRID}: Simulator.step() takes {ratio:.2f}x engine.step()")
+
+    # The acceptance bars: >= 10x on the 64x64 grid, and the loop within
+    # 1.25x of the engine at 256.
     assert speedups[SPEEDUP_GATE_GRID] >= SPEEDUP_GATE, (
         f"vectorized engine should be >= {SPEEDUP_GATE}x the reference on "
         f"the {SPEEDUP_GATE_GRID}x{SPEEDUP_GATE_GRID} grid, got "
         f"{speedups[SPEEDUP_GATE_GRID]:.1f}x"
+    )
+    assert ratio <= LOOP_GATE, (
+        f"Simulator.step() should take at most {LOOP_GATE}x engine.step() on "
+        f"the {LOOP_GRID}x{LOOP_GRID} corridor, took {ratio:.2f}x"
     )

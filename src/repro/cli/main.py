@@ -27,6 +27,7 @@ Observability toggles (see ``docs/observability.md``): set
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -37,9 +38,11 @@ from repro.core.params import Parameters
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.grid.paths import straight_path, turns_path
 from repro.grid.topology import Direction, Grid
+from repro.multiflow import MULTIFLOW_ENGINES
 from repro.multiflow.commodities import default_commodities
 from repro.multiflow.workload import WORKLOAD_PROFILES
 from repro.sim.config import FaultSpec, SimulationConfig
+from repro.sim.engine import ENV_ENGINE
 from repro.sim.simulator import build_simulation
 from repro.viz.render import render_grid, render_routes
 
@@ -94,18 +97,22 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
 def _build_config(args: argparse.Namespace) -> SimulationConfig:
     commodities = getattr(args, "commodities", 0)
     if commodities:
-        return SimulationConfig(
-            grid_width=args.grid,
-            params=Parameters(l=args.l, rs=args.rs, v=args.v),
-            rounds=args.rounds,
-            commodities=default_commodities(args.grid, commodities),
-            workload=args.workload,
-            fault=FaultSpec(pf=args.pf, pr=args.pr, protect_target=True),
-            seed=args.seed,
-            monitors=not args.no_monitors,
-            engine=args.engine,
-            shards=args.shards,
-        )
+        _require_multiflow_engine(args.engine)
+        try:
+            return SimulationConfig(
+                grid_width=args.grid,
+                params=Parameters(l=args.l, rs=args.rs, v=args.v),
+                rounds=args.rounds,
+                commodities=default_commodities(args.grid, commodities),
+                workload=args.workload,
+                fault=FaultSpec(pf=args.pf, pr=args.pr, protect_target=True),
+                seed=args.seed,
+                monitors=not args.no_monitors,
+                engine=args.engine,
+                shards=args.shards,
+            )
+        except ValueError as exc:
+            raise SystemExit(str(exc))
     if args.workload is not None:
         raise SystemExit("--workload requires --commodities")
     try:
@@ -135,6 +142,20 @@ def _build_config(args: argparse.Namespace) -> SimulationConfig:
         monitors=not args.no_monitors,
         engine=args.engine,
         shards=args.shards,
+    )
+
+
+def _require_multiflow_engine(flag: Optional[str]) -> None:
+    """Exit with a one-line usage error when the engine named by
+    ``--engine`` or, failing that, ``REPRO_ENGINE`` cannot run a
+    multi-commodity system."""
+    name = flag or os.environ.get(ENV_ENGINE) or None
+    if name is None or name in MULTIFLOW_ENGINES:
+        return
+    named_by = f"--engine {name}" if flag else f"{ENV_ENGINE}={name}"
+    raise SystemExit(
+        f"{named_by}: multi-commodity runs (--commodities) support only the "
+        f"{' and '.join(MULTIFLOW_ENGINES)} engines"
     )
 
 

@@ -4,6 +4,12 @@ The injector owns its own rng stream (independent of the system's source
 rng) so that fault randomness and arrival randomness can be seeded and
 varied independently across experiment repetitions.
 
+The model reads the ascending lists of live and failed cells every
+round. The injector does not rebuild them from the whole grid: it scans
+a system once, the first time it is applied to it, and then keeps both
+lists current from the system's ``fail``/``recover`` events, so a round
+costs what changed rather than what exists.
+
 The per-round decision history is a shallow recent window (a long run —
 Figure 9 uses K = 20000, and ``repro serve`` runs indefinitely — must not
 grow memory linearly with rounds; traces and the serve event stream
@@ -16,15 +22,56 @@ of the cap.
 from __future__ import annotations
 
 import random
+import weakref
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.core.system import System
-from repro.faults.model import FaultDecision, FaultModel, NoFaults
-from repro.grid.topology import CellId, Grid
+from repro.faults.model import ComposedFaultModel, FaultDecision, FaultModel, NoFaults
+from repro.faults.schedule import FaultEvent, ScriptedFaultModel
+from repro.grid.topology import CellId
 
 #: Default cap on retained per-round decisions.
 DEFAULT_HISTORY_LIMIT = 256
+
+
+class LiveSplit:
+    """The ascending live and failed cell ids of one system.
+
+    Built by one scan of the system's cells, then kept current from its
+    ``fail``/``recover`` events: the split chains itself into
+    ``system.cell_observer`` the way the round engines do, and passes
+    every event on to the observer it displaced. It holds the lists and
+    that observer, never the system, so installing it adds no reference
+    cycle. Like the engines' mirrors, it relies on failure state changing
+    only through the ``System`` transition methods.
+    """
+
+    __slots__ = ("alive", "failed", "_chained")
+
+    def __init__(self, system: System):
+        cells = system.cells
+        self.alive: List[CellId] = []
+        self.failed: List[CellId] = []
+        for cid in sorted(cells):
+            (self.failed if cells[cid].failed else self.alive).append(cid)
+        self._chained = system.cell_observer
+        system.cell_observer = self._on_cell_event
+
+    def _on_cell_event(self, event: str, cid: CellId) -> None:
+        if event == "fail":
+            _shift(self.alive, self.failed, cid)
+        elif event == "recover":
+            _shift(self.failed, self.alive, cid)
+        if self._chained is not None:
+            self._chained(event, cid)
+
+
+def _shift(source: List[CellId], target: List[CellId], cid: CellId) -> None:
+    """Move ``cid`` between two ascending lists, by position."""
+    del source[bisect_left(source, cid)]
+    insort(target, cid)
 
 
 class FaultInjector:
@@ -57,7 +104,7 @@ class FaultInjector:
         #: applied (in round order) before the fault decision of the
         #: matching round. Compiled from adversary scripts such as
         #: ``rotating_target``; counts as a disruption for
-        #: ``last_disruption_round``.
+        #: ``last_disruption_round``. Extended by :meth:`splice`.
         self.relocations: Tuple[Tuple[int, CellId], ...] = tuple(
             sorted((int(rnd), tuple(cell)) for rnd, cell in relocations)
         )
@@ -67,8 +114,10 @@ class FaultInjector:
         self.total_recoveries = 0
         self.rounds_applied = 0
         self._last_disruption: Optional[int] = None
-        self._order_grid: Optional[Grid] = None
-        self._order: List[CellId] = []
+        #: One :class:`LiveSplit` per system applied to, dropped with it.
+        self._splits: "weakref.WeakKeyDictionary[System, LiveSplit]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     def apply(self, system: System) -> FaultDecision:
         """Decide and apply this round's fault events (before ``update``)."""
@@ -80,15 +129,10 @@ class FaultInjector:
             system.relocate_target(new_tid)
             self._relocation_pos += 1
             self._last_disruption = self.rounds_applied
-        cells = system.cells
-        alive: List[CellId] = []
-        failed: List[CellId] = []
-        for cid in self._ascending_ids(system):
-            if cells[cid].failed:
-                failed.append(cid)
-            else:
-                alive.append(cid)
-        decision = self.model.decide(system.round_index, alive, failed, self.rng)
+        split = self.split(system)
+        decision = self.model.decide(
+            system.round_index, split.alive, split.failed, self.rng
+        )
         for cid in sorted(decision.fail):
             system.fail(cid)
         for cid in sorted(decision.recover):
@@ -106,13 +150,64 @@ class FaultInjector:
                 self.metrics.counter("faults.recovered").inc(len(decision.recover))
         return decision
 
-    def _ascending_ids(self, system: System) -> List[CellId]:
-        """Every cell id of ``system.grid`` in ascending order, sorted once
-        per grid: the fault coins are drawn in this order."""
-        if system.grid != self._order_grid:
-            self._order = sorted(system.cells)
-            self._order_grid = system.grid
-        return self._order
+    def split(self, system: System) -> LiveSplit:
+        """The live/failed split of ``system``, scanned on first use."""
+        split = self._splits.get(system)
+        if split is None:
+            split = self._splits[system] = LiveSplit(system)
+        return split
+
+    def splice(
+        self,
+        events: Sequence[FaultEvent] = (),
+        relocations: Sequence[Tuple[int, CellId]] = (),
+        offset: int = 0,
+    ) -> None:
+        """Play a scripted campaign on top of the running model.
+
+        ``events`` and ``relocations`` are timed from the campaign's
+        start, which is round ``offset``. The events become one
+        :class:`ScriptedFaultModel` placed first in one flat
+        :class:`ComposedFaultModel`, ahead of the earlier campaigns and
+        the base model, so models that draw from the rng keep their
+        order and stream. Campaigns whose last event is before
+        ``offset`` are dropped: they can decide nothing more. A flat
+        union equals the nested one (the composition subtracts every
+        failure from the recoveries), so the decisions do not depend on
+        how many campaigns were played, and neither does the cost of
+        ``decide`` once they end.
+        """
+        models: List[FaultModel] = []
+        if events:
+            models.append(
+                ScriptedFaultModel(
+                    [
+                        FaultEvent(e.round_index + offset, e.cell, e.kind)
+                        for e in events
+                    ]
+                )
+            )
+        current = self.model
+        parts = (
+            current.models if isinstance(current, ComposedFaultModel) else (current,)
+        )
+        for model in parts:
+            if isinstance(model, NoFaults):
+                continue
+            if isinstance(model, ScriptedFaultModel) and model.last_round < offset:
+                continue
+            models.append(model)
+        if not models:
+            self.model = NoFaults()
+        elif len(models) == 1:
+            self.model = models[0]
+        else:
+            self.model = ComposedFaultModel(tuple(models))
+        if relocations:
+            pending = list(self.relocations[self._relocation_pos :])
+            pending.extend((rnd + offset, tuple(cell)) for rnd, cell in relocations)
+            self.relocations = tuple(sorted(pending))
+            self._relocation_pos = 0
 
     @property
     def last_disruption_round(self) -> Optional[int]:

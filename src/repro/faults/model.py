@@ -8,8 +8,9 @@ updates), and decides which cells to fail and which to recover.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import FrozenSet, Sequence, Set, Tuple
 
 from repro.grid.topology import CellId
 
@@ -32,17 +33,22 @@ class FaultModel:
     def decide(
         self,
         round_index: int,
-        alive: Iterable[CellId],
-        failed: Iterable[CellId],
+        alive: Sequence[CellId],
+        failed: Sequence[CellId],
         rng: random.Random,
     ) -> FaultDecision:
         """Return which of the ``alive`` cells crash and which of the
         ``failed`` cells recover this round.
 
-        ``alive`` and ``failed`` must be in ascending cell-id order (the
-        injector passes them so). A model that draws from ``rng`` draws in
-        that order, which makes the rng stream independent of set order
-        and runs reproducible for a given seed.
+        ``alive`` and ``failed`` are lists in ascending cell-id order. A
+        model that draws from ``rng`` draws in that order, which makes
+        the rng stream independent of set order and runs reproducible
+        for a given seed.
+
+        The injector owns both lists: it keeps them current from the
+        system's ``fail``/``recover`` events instead of rebuilding them
+        each round. They are read-only, and valid only during the call;
+        a model that needs them afterwards keeps a copy.
         """
         raise NotImplementedError
 
@@ -53,8 +59,8 @@ class NoFaults(FaultModel):
     def decide(
         self,
         round_index: int,
-        alive: Iterable[CellId],
-        failed: Iterable[CellId],
+        alive: Sequence[CellId],
+        failed: Sequence[CellId],
         rng: random.Random,
     ) -> FaultDecision:
         return FaultDecision()
@@ -95,16 +101,35 @@ class BernoulliFaultModel(FaultModel):
     def decide(
         self,
         round_index: int,
-        alive: Iterable[CellId],
-        failed: Iterable[CellId],
+        alive: Sequence[CellId],
+        failed: Sequence[CellId],
         rng: random.Random,
     ) -> FaultDecision:
-        immune, pf, pr, draw = self.immune, self.pf, self.pr, rng.random
-        to_fail: Set[CellId] = {
-            cid for cid in alive if cid not in immune and draw() < pf
-        }
-        to_recover: Set[CellId] = {cid for cid in failed if draw() < pr}
+        """One coin per live non-immune cell, then one per failed cell,
+        in ascending order. The immune cells are cut out of ``alive`` by
+        position, so no coin waits on a set lookup."""
+        pf, pr, draw = self.pf, self.pr, rng.random
+        to_fail = {cid for cid in _without(alive, self.immune) if draw() < pf}
+        to_recover = {cid for cid in failed if draw() < pr}
         return FaultDecision(fail=frozenset(to_fail), recover=frozenset(to_recover))
+
+
+def _without(
+    ordered: Sequence[CellId], excluded: FrozenSet[CellId]
+) -> Sequence[CellId]:
+    """``ordered`` (ascending) less the ``excluded`` ids, each found by
+    bisection; ``ordered`` itself when none of them is in it."""
+    positions = []
+    for cid in excluded:
+        k = bisect_left(ordered, cid)
+        if k < len(ordered) and ordered[k] == cid:
+            positions.append(k)
+    if not positions:
+        return ordered
+    kept = list(ordered)
+    for k in sorted(positions, reverse=True):
+        del kept[k]
+    return kept
 
 
 @dataclass
@@ -123,8 +148,8 @@ class ComposedFaultModel(FaultModel):
     def decide(
         self,
         round_index: int,
-        alive: Iterable[CellId],
-        failed: Iterable[CellId],
+        alive: Sequence[CellId],
+        failed: Sequence[CellId],
         rng: random.Random,
     ) -> FaultDecision:
         fail: Set[CellId] = set()
@@ -156,8 +181,8 @@ class WindowedFaultModel(FaultModel):
     def decide(
         self,
         round_index: int,
-        alive: Iterable[CellId],
-        failed: Iterable[CellId],
+        alive: Sequence[CellId],
+        failed: Sequence[CellId],
         rng: random.Random,
     ) -> FaultDecision:
         if self.start <= round_index < self.stop:

@@ -82,8 +82,8 @@ class ScriptedFaultModel(FaultModel):
     def decide(
         self,
         round_index: int,
-        alive: Iterable[CellId],
-        failed: Iterable[CellId],
+        alive: Sequence[CellId],
+        failed: Sequence[CellId],
         rng: random.Random,
     ) -> FaultDecision:
         events = self._by_round.get(round_index, [])

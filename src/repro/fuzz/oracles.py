@@ -674,22 +674,9 @@ class AsyncEquivalenceOracle(Oracle):
         sim_s = build_simulation(sync_config, engine="reference")
         if config.adversary is not None:
             from repro.adversary.scripts import compile_adversary
-            from repro.faults.model import ComposedFaultModel, NoFaults
-            from repro.faults.schedule import ScriptedFaultModel
 
             compiled = compile_adversary(config)
-            if compiled.events:
-                scripted = ScriptedFaultModel(compiled.events)
-                base = sim_s.injector.model
-                sim_s.injector.model = (
-                    scripted
-                    if isinstance(base, NoFaults)
-                    else ComposedFaultModel((scripted, base))
-                )
-            if compiled.relocations:  # pragma: no cover - no class today
-                sim_s.injector.relocations = tuple(
-                    sorted(compiled.relocations)
-                )
+            sim_s.injector.splice(compiled.events, compiled.relocations)
         violations: List[Violation] = []
         try:
             for round_index in range(config.rounds):

@@ -313,42 +313,24 @@ class ServeService:
 
         The compiled schedule is offset so round 0 of the script is the
         *current* round — activating ``regional_failure()`` at round 500
-        plays the same storm the batch run plays from round 0. Scripted
-        events compose on top of whatever model is already running (the
-        scripted model is consulted first, keeping any Bernoulli rng
-        stream unperturbed — same rule as ``build_simulation``).
+        plays the same storm the batch run plays from round 0.
+        ``FaultInjector.splice`` composes it on top of whatever model is
+        already running, the same way ``build_simulation`` does, and
+        drops finished campaigns, so a service that plays thousands of
+        them decides each round at the cost of the live ones.
         """
         from repro.adversary.scripts import compile_adversary
-        from repro.faults.model import ComposedFaultModel, NoFaults
-        from repro.faults.schedule import FaultEvent, ScriptedFaultModel
 
         try:
             campaign_config = replace(self.config, adversary=spec)
             compiled = compile_adversary(campaign_config)
         except (ValueError, KeyError) as error:
             raise CommandError("bad-value", f"adversary spec rejected: {error}")
-        offset = self.stepper.round_index
-        injector = self.stepper.simulator.injector
-        events = [
-            FaultEvent(event.round_index + offset, event.cell, event.kind)
-            for event in compiled.events
-        ]
-        if events:
-            scripted = ScriptedFaultModel(events)
-            if isinstance(injector.model, NoFaults):
-                injector.model = scripted
-            else:
-                injector.model = ComposedFaultModel((scripted, injector.model))
-        if compiled.relocations:
-            pending = list(injector.relocations[injector._relocation_pos :])
-            pending.extend(
-                (rnd + offset, tuple(cell))
-                for rnd, cell in compiled.relocations
-            )
-            injector.relocations = tuple(sorted(pending))
-            injector._relocation_pos = 0
+        self.stepper.simulator.injector.splice(
+            compiled.events, compiled.relocations, offset=self.stepper.round_index
+        )
         return {
-            "events": len(events),
+            "events": len(compiled.events),
             "relocations": len(compiled.relocations),
         }
 

@@ -282,7 +282,7 @@ def build_simulation(
     else:
         fault_model = NoFaults()
 
-    relocations = ()
+    injector = FaultInjector(fault_model, rng=derive_rng(config.seed, "faults"))
     if config.adversary is not None:
         # Compile the named campaign into scripted events + relocations
         # (single-flow only; config validation rejects it otherwise).
@@ -290,23 +290,9 @@ def build_simulation(
         # scripted model is consulted first so the Bernoulli rng stream
         # is unperturbed by the composition).
         from repro.adversary.scripts import compile_adversary
-        from repro.faults.model import ComposedFaultModel
-        from repro.faults.schedule import ScriptedFaultModel
 
         compiled = compile_adversary(config)
-        relocations = compiled.relocations
-        if compiled.events:
-            scripted = ScriptedFaultModel(compiled.events)
-            if isinstance(fault_model, NoFaults):
-                fault_model = scripted
-            else:
-                fault_model = ComposedFaultModel((scripted, fault_model))
-
-    injector = FaultInjector(
-        fault_model,
-        rng=derive_rng(config.seed, "faults"),
-        relocations=relocations,
-    )
+        injector.splice(compiled.events, compiled.relocations)
     return Simulator(
         system=system,
         rounds=config.rounds,

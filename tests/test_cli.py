@@ -48,6 +48,37 @@ class TestCommands:
         assert "does not fit a 6x6 grid" in message
         assert "(1, 6)" in message
 
+    @pytest.mark.parametrize("command", ["run", "watch", "trace", "svg", "serve"])
+    @pytest.mark.parametrize("engine", ["vectorized", "timed", "sharded"])
+    def test_multiflow_engine_flag_is_a_usage_error(self, command, engine):
+        """An engine multi-commodity runs do not support: one line, exit 1."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--commodities", "2", "--grid", "5", "--engine", engine])
+        message = str(excinfo.value.code)
+        assert "\n" not in message
+        assert f"--engine {engine}" in message
+        assert "reference and incremental" in message
+
+    @pytest.mark.parametrize("command", ["run", "watch", "trace", "svg", "serve"])
+    def test_multiflow_engine_from_the_environment_is_a_usage_error(
+        self, command, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_ENGINE", "timed")
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--commodities", "2", "--grid", "5"])
+        message = str(excinfo.value.code)
+        assert "\n" not in message
+        assert "REPRO_ENGINE=timed" in message
+
+    def test_multiflow_engine_flag_overrides_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "vectorized")
+        code = main(
+            ["run", "--commodities", "2", "--grid", "5", "--rounds", "20",
+             "--engine", "incremental"]
+        )
+        assert code == 0
+        assert "commodities (produced/consumed/in-flight)" in capsys.readouterr().out
+
     def test_run_with_faults(self, capsys):
         code = main(
             ["run", "--rounds", "200", "--pf", "0.02", "--pr", "0.1", "--seed", "5"]

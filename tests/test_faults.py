@@ -9,6 +9,7 @@ from repro.core.system import System
 from repro.faults.injector import FaultInjector
 from repro.faults.model import (
     BernoulliFaultModel,
+    ComposedFaultModel,
     FaultDecision,
     NoFaults,
     WindowedFaultModel,
@@ -210,3 +211,83 @@ class TestInjector:
             FaultInjector(NoFaults(), history_limit=0)
         with pytest.raises(ValueError):
             FaultInjector(NoFaults(), history_limit=-4)
+
+
+class TestSplice:
+    """``FaultInjector.splice`` plays campaigns on one flat composition."""
+
+    GRID = [(i, j) for i in range(8) for j in range(8)]
+    #: Rounds from a campaign's failures to its recoveries.
+    SPAN = 6
+
+    def campaign(self, index):
+        """Fail two cells now and recover them ``SPAN`` rounds later."""
+        cells = random.Random(index).sample(self.GRID, 2)
+        return [FaultEvent(0, cell, "fail") for cell in cells] + [
+            FaultEvent(self.SPAN, cell, "recover") for cell in cells
+        ]
+
+    def test_flat_decisions_equal_the_nested_composition(self):
+        """1,200 campaigns, one a round, against the nesting each one
+        used to add (every campaign wrapping the running model), compared
+        every few rounds for as long as the nesting still runs. The flat
+        tuple never holds more than the live campaigns and the base
+        model, so ``decide`` costs the same at the last campaign as at
+        the first."""
+        base = BernoulliFaultModel(pf=0.05, pr=0.2, immune=frozenset({(3, 3)}))
+        injector = FaultInjector(base, rng=random.Random(4))
+        nested, nested_rng = base, random.Random(4)
+        alive, failed = self.GRID[::2], self.GRID[1::2]
+        compared = 0
+        for round_index in range(1_200):
+            events = self.campaign(round_index)
+            injector.splice(events, offset=round_index)
+            assert len(injector.model.models) <= self.SPAN + 2
+            shifted = [
+                FaultEvent(e.round_index + round_index, e.cell, e.kind)
+                for e in events
+            ]
+            nested = ComposedFaultModel((ScriptedFaultModel(shifted), nested))
+            if round_index % 8:
+                continue
+            decision = injector.model.decide(round_index, alive, failed, injector.rng)
+            if nested_rng is None:
+                continue
+            try:
+                expected = nested.decide(round_index, alive, failed, nested_rng)
+            except RecursionError:  # the nesting is too deep to run
+                nested_rng = None
+                continue
+            assert decision == expected
+            assert injector.rng.getstate() == nested_rng.getstate()
+            compared += 1
+        assert compared >= 60
+        assert injector.model.models[-1] is base
+
+    def test_finished_campaigns_leave_the_base_model(self):
+        base = BernoulliFaultModel(pf=0.1, pr=0.1)
+        injector = FaultInjector(base)
+        injector.splice(self.campaign(0), offset=10)
+        assert injector.model.models == (injector.model.models[0], base)
+        injector.splice(offset=10 + self.SPAN)
+        assert len(injector.model.models) == 2  # the last recoveries are due
+        injector.splice(offset=11 + self.SPAN)
+        assert injector.model is base
+
+    def test_a_campaign_replaces_no_faults(self):
+        injector = FaultInjector(NoFaults())
+        injector.splice(self.campaign(0))
+        assert isinstance(injector.model, ScriptedFaultModel)
+        assert injector.model.last_round == self.SPAN
+
+    def test_relocations_merge_with_the_pending_ones(self):
+        system = System(grid=Grid(4), params=PARAMS, tid=(3, 3))
+        injector = FaultInjector(relocations=[(1, (2, 2)), (9, (0, 3))])
+        injector.apply(system)
+        system.update()
+        injector.apply(system)  # round 1: the first relocation
+        system.update()
+        assert system.tid == (2, 2)
+        injector.splice(relocations=[(2, (1, 1))], offset=2)
+        assert injector.relocations == ((4, (1, 1)), (9, (0, 3)))
+        assert isinstance(injector.model, NoFaults)

@@ -1,10 +1,18 @@
 """Unit tests for the occupancy/blocking probe."""
 
+import pytest
+
 from repro.core.params import Parameters
 from repro.core.system import build_corridor_system
 from repro.grid.paths import straight_path
 from repro.grid.topology import Direction, Grid
-from repro.metrics.occupancy import OccupancyProbe, blocked_cell_count, occupancy_histogram
+from repro.metrics.occupancy import (
+    OccupancyProbe,
+    blocked_cell_count,
+    occupancy_histogram,
+    occupied_cell_count,
+)
+from tests.test_injector_order import commanded_rounds, commanded_runs
 
 PARAMS = Parameters(l=0.25, rs=0.05, v=0.2)
 
@@ -56,3 +64,27 @@ class TestOccupancyProbe:
         histogram = occupancy_histogram(system)
         assert histogram[(1, 3)] == 1
         assert sum(histogram.values()) == system.entity_count()
+
+
+@pytest.mark.parametrize("config, engine", commanded_runs())
+def test_carried_counts_match_a_full_scan_every_round(config, engine):
+    """The probe carries both counts from the round reports; arrivals
+    seeded between rounds make it count the grid again."""
+    rounds = 0
+    for stepper in commanded_rounds(config, engine):
+        probe, system = stepper.simulator.occupancy, stepper.system
+        assert probe.entities == system.entity_count()
+        assert probe.occupied == occupied_cell_count(system)
+        rounds += 1
+    assert probe.rounds == rounds
+
+
+def test_a_skipped_round_is_counted_again():
+    system = make_system()
+    probe = OccupancyProbe()
+    for round_index in range(60):
+        report = system.update()
+        if round_index % 7 != 3:  # the probe misses some rounds
+            probe.observe(system, report)
+            assert probe.occupied == occupied_cell_count(system)
+    assert probe.occupied > 0
