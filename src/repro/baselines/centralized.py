@@ -28,7 +28,7 @@ from repro.core.cell import INFINITY
 from repro.core.move import MovePhaseReport, move_phase
 from repro.core.route import RoutePhaseReport
 from repro.core.signal import SignalPhaseReport, signal_phase
-from repro.core.system import RoundReport, System
+from repro.core.system import RoundReport, System, run_round
 
 
 @dataclass
@@ -103,36 +103,23 @@ class CentralizedSystem(System):
 
     def update(self) -> RoundReport:
         self._coordinator_churn()
-        if self.coordinator_up and self.round_index % self.coordinator.period == 0:
-            route_report = self._central_route()
-        else:
-            route_report = RoutePhaseReport()  # stale waypoints between pulses
-        self._notify_phase("route")
+        return run_round(self, self._route_phase, self._signal_phase, self._move_phase)
 
+    def _route_phase(self) -> RoutePhaseReport:
+        if self.coordinator_up and self.round_index % self.coordinator.period == 0:
+            return self._central_route()
+        return RoutePhaseReport()  # stale waypoints between pulses
+
+    def _signal_phase(self, route_report) -> SignalPhaseReport:
         if self.coordinator_up:
-            signal_report = signal_phase(
-                self.grid, self.cells, self.params, self.token_policy
-            )
-            self._notify_phase("signal")
-            move_report = move_phase(self.grid, self.cells, self.params, self.tid)
-        else:
-            # Coordinator down: no valid waypoints, nothing moves.
-            self.coordinator_outage_rounds += 1
-            for state in self.cells.values():
-                state.signal = None
-            signal_report = SignalPhaseReport()
-            self._notify_phase("signal")
-            move_report = MovePhaseReport()
-        self._notify_phase("move")
-        self.total_consumed += len(move_report.consumed)
-        produced = self._produce()
-        self._notify_phase("produce")
-        report = RoundReport(
-            round_index=self.round_index,
-            route=route_report,
-            signal=signal_report,
-            move=move_report,
-            produced=produced,
-        )
-        self.round_index += 1
-        return report
+            return signal_phase(self.grid, self.cells, self.params, self.token_policy)
+        # Coordinator down: no valid waypoints, nothing moves.
+        self.coordinator_outage_rounds += 1
+        for state in self.cells.values():
+            state.signal = None
+        return SignalPhaseReport()
+
+    def _move_phase(self, signal_report) -> MovePhaseReport:
+        if self.coordinator_up:
+            return move_phase(self.grid, self.cells, self.params, self.tid)
+        return MovePhaseReport()

@@ -12,16 +12,15 @@ violations — quantifying exactly what the Signal mechanism buys.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.core.cell import CellState
-from repro.core.entity import Entity
-from repro.core.move import MovePhaseReport, Transfer, crossed_boundary
+from repro.core.move import MovePhaseReport, apply_moves
 from repro.core.params import Parameters
 from repro.core.route import route_phase
-from repro.core.system import RoundReport, System
+from repro.core.system import RoundReport, System, run_round
 from repro.core.signal import SignalPhaseReport
-from repro.grid.topology import CellId, Direction, Grid, direction_between
+from repro.grid.topology import CellId, Grid
 
 
 def greedy_move_phase(
@@ -36,58 +35,32 @@ def greedy_move_phase(
     and a greedy mover with ``next`` pointing at a failed cell is skipped),
     but nothing prevents separation violations at the entry edge.
     """
-    report = MovePhaseReport()
-    pending: List[Tuple[Entity, CellId, CellId, Direction]] = []
-    for cid, state in cells.items():
-        if state.failed or state.next_id is None or not state.members:
-            continue
-        nxt = state.next_id
-        if cells[nxt].failed:
-            continue
-        toward = direction_between(cid, nxt)
-        report.moved_cells.append(cid)
-        for entity in state.entities():
-            entity.translate(toward, params.v)
-            if crossed_boundary(entity, cid, toward, params.half_l):
-                pending.append((entity, cid, nxt, toward))
-    for entity, cid, nxt, toward in pending:
-        cells[cid].remove_entity(entity.uid)
-        if nxt == tid:
-            report.consumed.append(entity)
-            report.transfers.append(
-                Transfer(uid=entity.uid, src=cid, dst=nxt, consumed=True)
-            )
-        else:
-            entity.snap_to_entry_edge(nxt, toward, params.half_l)
-            cells[nxt].add_entity(entity)
-            report.transfers.append(
-                Transfer(uid=entity.uid, src=cid, dst=nxt, consumed=False)
-            )
-    return report
+    movers = [
+        (cid, state.next_id)
+        for cid, state in cells.items()
+        if not state.failed
+        and state.next_id is not None
+        and state.members
+        and not cells[state.next_id].failed
+    ]
+    return apply_moves(grid, cells, params, lambda entity, dst: dst == tid, movers)
 
 
 class UnsafeSystem(System):
     """A ``System`` whose update skips Signal and moves greedily."""
 
     def update(self) -> RoundReport:
-        route_report = route_phase(self.grid, self.cells, self.tid)
-        self._notify_phase("route")
-        # No Signal phase: clear any stale grants so monitors don't read them.
+        return run_round(
+            self,
+            lambda: route_phase(self.grid, self.cells, self.tid),
+            self._signal_phase,
+            lambda signal: greedy_move_phase(
+                self.grid, self.cells, self.params, self.tid
+            ),
+        )
+
+    def _signal_phase(self, route_report) -> SignalPhaseReport:
+        """No Signal phase: clear any stale grants so monitors don't read them."""
         for state in self.cells.values():
             state.signal = None
-        signal_report = SignalPhaseReport()
-        self._notify_phase("signal")
-        move_report = greedy_move_phase(self.grid, self.cells, self.params, self.tid)
-        self._notify_phase("move")
-        self.total_consumed += len(move_report.consumed)
-        produced = self._produce()
-        self._notify_phase("produce")
-        report = RoundReport(
-            round_index=self.round_index,
-            route=route_report,
-            signal=signal_report,
-            move=move_report,
-            produced=produced,
-        )
-        self.round_index += 1
-        return report
+        return SignalPhaseReport()

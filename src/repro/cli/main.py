@@ -42,7 +42,7 @@ from repro.multiflow import MULTIFLOW_ENGINES
 from repro.multiflow.commodities import default_commodities
 from repro.multiflow.workload import WORKLOAD_PROFILES
 from repro.sim.config import FaultSpec, SimulationConfig
-from repro.sim.engine import ENV_ENGINE
+from repro.sim.engine import ENGINES, ENV_ENGINE
 from repro.sim.simulator import build_simulation
 from repro.viz.render import render_grid, render_routes
 
@@ -96,8 +96,8 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _build_config(args: argparse.Namespace) -> SimulationConfig:
     commodities = getattr(args, "commodities", 0)
+    _check_engine(args.engine, commodities)
     if commodities:
-        _require_multiflow_engine(args.engine)
         try:
             return SimulationConfig(
                 grid_width=args.grid,
@@ -145,18 +145,23 @@ def _build_config(args: argparse.Namespace) -> SimulationConfig:
     )
 
 
-def _require_multiflow_engine(flag: Optional[str]) -> None:
+def _check_engine(flag: Optional[str], commodities: int) -> None:
     """Exit with a one-line usage error when the engine named by
-    ``--engine`` or, failing that, ``REPRO_ENGINE`` cannot run a
-    multi-commodity system."""
-    name = flag or os.environ.get(ENV_ENGINE) or None
-    if name is None or name in MULTIFLOW_ENGINES:
+    ``--engine`` or, failing that, ``REPRO_ENGINE`` is unknown, or cannot
+    run a multi-commodity system."""
+    name = flag or os.environ.get(ENV_ENGINE)
+    if name is None:
         return
     named_by = f"--engine {name}" if flag else f"{ENV_ENGINE}={name}"
-    raise SystemExit(
-        f"{named_by}: multi-commodity runs (--commodities) support only the "
-        f"{' and '.join(MULTIFLOW_ENGINES)} engines"
-    )
+    if name not in ENGINES:
+        raise SystemExit(
+            f"{named_by}: unknown round engine; choose from {', '.join(ENGINES)}"
+        )
+    if commodities and name not in MULTIFLOW_ENGINES:
+        raise SystemExit(
+            f"{named_by}: multi-commodity runs (--commodities) support only the "
+            f"{' and '.join(MULTIFLOW_ENGINES)} engines"
+        )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -133,6 +133,14 @@ class CellState:
         self.signal = None
         self.ne_prev = set()
 
+    def mark_retargeted(self, is_target: bool) -> None:
+        """A target relocation's effect on the new (``is_target``) or the
+        old target: its route restarts from ``dist = 0`` or ``INFINITY``.
+        A failed cell keeps its crash state."""
+        if not self.failed:
+            self.dist = 0.0 if is_target else INFINITY
+            self.next_id = None
+
     def clone(self) -> "CellState":
         """Deep copy (snapshots for monitors, the explorer, and baselines)."""
         return CellState(

@@ -18,9 +18,10 @@ At most one neighbor can transfer into a given cell per round because
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.core.cell import CellState, effective_signal
+from repro.core.dirty import row_major
 from repro.core.entity import Entity
 from repro.core.params import Parameters
 from repro.geometry.tolerance import strictly_greater, strictly_less
@@ -67,10 +68,10 @@ def collect_movers(cells: Dict[CellId, CellState]) -> List[Tuple[CellId, CellId]
 
     A cell moves this round when it is non-faulty, has entities, and its
     ``next`` neighbor's (post-Signal) ``signal`` points back at it. The
-    full-sweep engine calls this scan; the incremental engine instead
-    derives the same pairs from the round's grant report (every mover
-    corresponds to exactly one grant, since ``signal`` is single-valued
-    and set fresh each round).
+    full-sweep engine calls this scan; the other engines derive the same
+    pairs from the round's grant report (:func:`movers_from_grants`:
+    every mover corresponds to exactly one grant, since ``signal`` is
+    single-valued and set fresh each round).
     """
     movers: List[Tuple[CellId, CellId]] = []
     for cid, state in cells.items():
@@ -80,6 +81,23 @@ def collect_movers(cells: Dict[CellId, CellState]) -> List[Tuple[CellId, CellId]
         if effective_signal(cells[nxt]) == cid:
             movers.append((cid, nxt))
     return movers
+
+
+def movers_from_grants(
+    granted: Mapping[CellId, CellId],
+) -> List[Tuple[CellId, CellId]]:
+    """The same pairs as :func:`collect_movers`, derived from one round's
+    grant report (``granter -> grantee``), in row-major mover order.
+
+    A cell moves iff its ``next`` granted it the signal this round. The
+    engines that skip quiescent cells use this: a skipped cell holds
+    ``signal = bot`` (the Signal invariant) and every hot cell's grant
+    is recomputed each round, so the report is exactly the full scan.
+    """
+    return sorted(
+        ((grantee, granter) for granter, grantee in granted.items()),
+        key=lambda pair: row_major(pair[0]),
+    )
 
 
 def apply_moves(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.cell import CellState, INFINITY
 from repro.core.dirty import LiveDistView
@@ -51,6 +51,43 @@ class RoundReport:
     @property
     def consumed_count(self) -> int:
         return len(self.move.consumed)
+
+
+def run_round(
+    system,
+    route: Callable[[], RoutePhaseReport],
+    signal: Callable[[RoutePhaseReport], SignalPhaseReport],
+    move: Callable[[SignalPhaseReport], MovePhaseReport],
+    on_produced: Optional[Callable[[List[Entity]], None]] = None,
+) -> RoundReport:
+    """One ``update`` transition of ``system``, from the given phases.
+
+    The one place the round's shape is written: Route, then Signal (fed
+    the Route report), then Move (fed the Signal report), then source
+    production, with a ``phase_observer`` notification after each of
+    the four, so predicates tied to a point inside the transition (H
+    right after Signal, Lemma 3) are checked under every realization.
+    ``on_produced`` sees the fresh entities after the last notification.
+    The round's report carries the index it ran at; the index then
+    advances. Every system's ``update`` and every round engine call
+    this, so they differ only in how each phase is computed.
+    """
+    route_report = route()
+    system._notify_phase("route")
+    signal_report = signal(route_report)
+    system._notify_phase("signal")
+    move_report = move(signal_report)
+    system._notify_phase("move")
+    system.total_consumed += len(move_report.consumed)
+    produced = system._produce()
+    system._notify_phase("produce")
+    if on_produced is not None:
+        on_produced(produced)
+    report = RoundReport(
+        system.round_index, route_report, signal_report, move_report, produced
+    )
+    system.round_index += 1
+    return report
 
 
 class System:
@@ -169,13 +206,8 @@ class System:
             raise ValueError(f"cannot relocate the target onto failed cell {new_tid}")
         old_tid = self.tid
         self.tid = new_tid
-        old_state = self.cells[old_tid]
-        if not old_state.failed:
-            old_state.dist = INFINITY
-            old_state.next_id = None
-        new_state = self.cells[new_tid]
-        new_state.dist = 0.0
-        new_state.next_id = None
+        self.cells[old_tid].mark_retargeted(False)
+        self.cells[new_tid].mark_retargeted(True)
         self._notify_cell_event("relocate", old_tid)
         self._notify_cell_event("relocate", new_tid)
 
@@ -192,27 +224,16 @@ class System:
     # ------------------------------------------------------------------
 
     def update(self) -> RoundReport:
-        """One synchronous round: Route; Signal; Move; source production."""
-        route_report = route_phase(self.grid, self.cells, self.tid)
-        self._notify_phase("route")
-        signal_report = signal_phase(
-            self.grid, self.cells, self.params, self.token_policy
+        """One synchronous round: Route; Signal; Move; source production,
+        each phase a full sweep over every cell."""
+        return run_round(
+            self,
+            lambda: route_phase(self.grid, self.cells, self.tid),
+            lambda route: signal_phase(
+                self.grid, self.cells, self.params, self.token_policy
+            ),
+            lambda signal: self.move_cells(self.movers()),
         )
-        self._notify_phase("signal")
-        move_report = self.move_cells(self.movers())
-        self._notify_phase("move")
-        self.total_consumed += len(move_report.consumed)
-        produced = self._produce()
-        self._notify_phase("produce")
-        report = RoundReport(
-            round_index=self.round_index,
-            route=route_report,
-            signal=signal_report,
-            move=move_report,
-            produced=produced,
-        )
-        self.round_index += 1
-        return report
 
     # -- one phase over given cells (the incremental engine's sweeps) ----
 

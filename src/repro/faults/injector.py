@@ -6,9 +6,12 @@ varied independently across experiment repetitions.
 
 The model reads the ascending lists of live and failed cells every
 round. The injector does not rebuild them from the whole grid: it scans
-a system once, the first time it is applied to it, and then keeps both
-lists current from the system's ``fail``/``recover`` events, so a round
-costs what changed rather than what exists.
+a system once, the first time it meets it (the simulator introduces
+them at build), and then keeps both lists current from the system's
+``fail``/``recover`` events, so a round costs what changed rather than
+what exists. It also notes the target then, and tells the model each
+time the target has moved (:meth:`FaultModel.follow_target`), so a
+protected target stays protected where it goes.
 
 The per-round decision history is a shallow recent window (a long run —
 Figure 9 uses K = 20000, and ``repro serve`` runs indefinitely — must not
@@ -48,9 +51,11 @@ class LiveSplit:
     only through the ``System`` transition methods.
     """
 
-    __slots__ = ("alive", "failed", "_chained")
+    __slots__ = ("alive", "failed", "tid", "_chained")
 
     def __init__(self, system: System):
+        #: The target the model last decided for (None without one).
+        self.tid = getattr(system, "tid", None)
         cells = system.cells
         self.alive: List[CellId] = []
         self.failed: List[CellId] = []
@@ -101,8 +106,8 @@ class FaultInjector:
         #: simulator binds it when observability is enabled).
         self.metrics = metrics
         #: Scheduled target relocations ``(round_index, new_target)``,
-        #: applied (in round order) before the fault decision of the
-        #: matching round. Compiled from adversary scripts such as
+        #: applied in order before the fault decision of the first
+        #: round at or after theirs. Compiled from adversary scripts such as
         #: ``rotating_target``; counts as a disruption for
         #: ``last_disruption_round``. Extended by :meth:`splice`.
         self.relocations: Tuple[Tuple[int, CellId], ...] = tuple(
@@ -123,13 +128,18 @@ class FaultInjector:
         """Decide and apply this round's fault events (before ``update``)."""
         while (
             self._relocation_pos < len(self.relocations)
-            and self.relocations[self._relocation_pos][0] == system.round_index
+            and self.relocations[self._relocation_pos][0] <= system.round_index
         ):
             _, new_tid = self.relocations[self._relocation_pos]
             system.relocate_target(new_tid)
             self._relocation_pos += 1
             self._last_disruption = self.rounds_applied
         split = self.split(system)
+        if split.tid != getattr(system, "tid", None):
+            # The target moved since the last decision, by a relocation
+            # above or one made between rounds (serve's ``relocate``).
+            self.model.follow_target(split.tid, system.tid)
+            split.tid = system.tid
         decision = self.model.decide(
             system.round_index, split.alive, split.failed, self.rng
         )

@@ -52,6 +52,11 @@ class FaultModel:
         """
         raise NotImplementedError
 
+    def follow_target(self, old: CellId, new: CellId) -> None:
+        """The target moved from ``old`` to ``new`` (the injector calls
+        this before the next decision). A model that protects the target
+        moves the protection along; the default protects nothing."""
+
 
 class NoFaults(FaultModel):
     """The fault-free environment (Figures 7 and 8)."""
@@ -74,7 +79,9 @@ class BernoulliFaultModel(FaultModel):
     with probability ``pr``. ``immune`` cells never fail — the analysis
     sections assume the target is immune, while the Figure 9 experiment
     lets every cell (including the target) fail and recover; both setups
-    are expressible.
+    are expressible. An immune target stays immune where it moves: the
+    old cell loses the protection and the new one gains it (a set that
+    already holds the new target is left as it is).
 
     The long-run fraction of failed cells approaches
     ``pf / (pf + pr)`` (the stationary point of the two-state chain).
@@ -97,6 +104,10 @@ class BernoulliFaultModel(FaultModel):
         if self.pf + self.pr == 0.0:
             return 0.0
         return self.pf / (self.pf + self.pr)
+
+    def follow_target(self, old: CellId, new: CellId) -> None:
+        if old in self.immune and new not in self.immune:
+            self.immune = (self.immune - {old}) | {new}
 
     def decide(
         self,
@@ -145,6 +156,10 @@ class ComposedFaultModel(FaultModel):
 
     models: Tuple[FaultModel, ...]
 
+    def follow_target(self, old: CellId, new: CellId) -> None:
+        for model in self.models:
+            model.follow_target(old, new)
+
     def decide(
         self,
         round_index: int,
@@ -177,6 +192,9 @@ class WindowedFaultModel(FaultModel):
     start: int
     stop: int
     recover_all_at_stop: bool = False
+
+    def follow_target(self, old: CellId, new: CellId) -> None:
+        self.inner.follow_target(old, new)
 
     def decide(
         self,

@@ -67,7 +67,7 @@ from repro.core.policies import RoundRobinTokenPolicy, TokenPolicy
 from repro.core.route import RoutePhaseReport
 from repro.core.signal import SignalPhaseReport, _signal_step, gap_clear
 from repro.core.sources import entry_wall_center
-from repro.core.system import RoundReport
+from repro.core.system import RoundReport, run_round
 from repro.geometry.separation import fits_among
 from repro.grid.topology import CellId, Grid
 from repro.multiflow.commodities import Commodity, CommodityTable
@@ -234,24 +234,12 @@ class MultiCommoditySystem:
 
     def update(self) -> RoundReport:
         """One synchronous round: Route; Signal; Move; production."""
-        route_report = self.route_cells(self.cells)
-        self._notify_phase("route")
-        signal_report = self.signal_cells(self.cells)
-        self._notify_phase("signal")
-        move_report = self.move_cells(self.movers())
-        self._notify_phase("move")
-        self.total_consumed += len(move_report.consumed)
-        produced = self._produce()
-        self._notify_phase("produce")
-        report = RoundReport(
-            round_index=self.round_index,
-            route=route_report,
-            signal=signal_report,
-            move=move_report,
-            produced=produced,
+        return run_round(
+            self,
+            lambda: self.route_cells(self.cells),
+            lambda route: self.signal_cells(self.cells),
+            lambda signal: self.move_cells(self.movers()),
         )
-        self.round_index += 1
-        return report
 
     def run(self, rounds: int) -> List[RoundReport]:
         """Run ``rounds`` consecutive updates (no faults)."""

@@ -58,7 +58,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.move import MovePhaseReport, Transfer
 from repro.core.route import RoutePhaseReport
 from repro.core.signal import SignalPhaseReport
-from repro.core.system import RoundReport, System
+from repro.core.system import System
 from repro.grid.topology import CellId
 from repro.netsim.delay import DelayModel, FixedDelay, UniformDelay
 from repro.netsim.message import EntityTransferMessage, Message
@@ -113,12 +113,15 @@ class TimedEngine(RoundEngine):
     # Delivery
     # ------------------------------------------------------------------
 
-    def _open_turn(self, turn: int) -> None:
-        """Messages sent from now on leave at ``turn`` and are read at
-        ``turn + 1`` (times in periods since round 0)."""
+    def _open_turn(self, k: int) -> int:
+        """Open this round's turn ``k`` (0-3, A-D) and return its number:
+        messages sent from now on leave at that turn and are read at the
+        next (times in periods since round 0)."""
+        turn = 4 * self.system.round_index + k
         self._turn = turn
         self._turn_start = float(turn)
         self._deadline = float(turn + 1) + 1e-12
+        return turn
 
     def _send(self, message: Message) -> None:
         name = type(message).__name__
@@ -141,41 +144,39 @@ class TimedEngine(RoundEngine):
         return inbox
 
     # ------------------------------------------------------------------
-    # The round
+    # The phases (assembled by RoundEngine.step): each sends, then reads
     # ------------------------------------------------------------------
 
-    def step(self) -> RoundReport:
-        system = self.system
+    def _route_phase(self) -> RoutePhaseReport:
+        """Turn A: dist adverts. Turn B: Route."""
+        turn = self._open_turn(0)
+        for process in self.processes.values():
+            process.advert_route(self._send)
+        route = RoutePhaseReport()
+        for cid, process in self.processes.items():
+            process.on_route(self._take(cid, turn), cid == self.system.tid, route)
+        return route
+
+    def _signal_phase(self, route_report: RoutePhaseReport) -> SignalPhaseReport:
+        """Next/occupancy adverts, then turn C: Signal."""
+        turn = self._open_turn(1)
+        for process in self.processes.values():
+            process.advert_occupancy(self._send)
+        signal = SignalPhaseReport()
+        for cid, process in self.processes.items():
+            process.on_occupancy(self._take(cid, turn), signal)
+        return signal
+
+    def _move_phase(self, signal_report: SignalPhaseReport) -> MovePhaseReport:
+        """Grant adverts, then turn D: Move and entity transfers, which
+        land at the next round's turn-A instant (before production)."""
         processes = self.processes
         send = self._send
-        tid = system.tid
-        turn = 4 * system.round_index
-
-        # Turn A: dist adverts.
-        self._open_turn(turn)
-        for process in processes.values():
-            process.advert_route(send)
-
-        # Turn B: Route; next/occupancy adverts.
-        route = RoutePhaseReport()
-        for cid, process in processes.items():
-            process.on_route(self._take(cid, turn), cid == tid, route)
-        system._notify_phase("route")
-        self._open_turn(turn + 1)
-        for process in processes.values():
-            process.advert_occupancy(send)
-
-        # Turn C: Signal; grant adverts.
-        signal = SignalPhaseReport()
-        for cid, process in processes.items():
-            process.on_occupancy(self._take(cid, turn + 1), signal)
-        system._notify_phase("signal")
-        self._open_turn(turn + 2)
+        tid = self.system.tid
+        turn = self._open_turn(2)
         for process in processes.values():
             process.advert_grant(send)
-
-        # Turn D: Move; entity transfers.
-        self._open_turn(turn + 3)
+        self._open_turn(3)
         move = MovePhaseReport()
         sent: List[EntityTransferMessage] = []
 
@@ -184,30 +185,17 @@ class TimedEngine(RoundEngine):
             send(message)
 
         for cid, process in processes.items():
-            if process.on_grant(self._take(cid, turn + 2), send_transfer):
+            if process.on_grant(self._take(cid, turn), send_transfer):
                 move.moved_cells.append(cid)
 
-        # The next round's turn-A instant: transfers land, then produce.
         # A cell grants one neighbor a round, so the target's inbox is
         # already in send order.
         for cid, process in processes.items():
-            inbox = self._take(cid, turn + 3)
+            inbox = self._take(cid, turn + 1)
             if inbox:
                 move.consumed.extend(process.on_transfers(inbox, cid == tid))
         move.transfers = [
             Transfer(uid=m.uid, src=m.src, dst=m.dst, consumed=m.dst == tid)
             for m in sent
         ]
-        system._notify_phase("move")
-        system.total_consumed += len(move.consumed)
-        produced = system._produce()
-        system._notify_phase("produce")
-        report = RoundReport(
-            round_index=system.round_index,
-            route=route,
-            signal=signal,
-            move=move,
-            produced=produced,
-        )
-        system.round_index += 1
-        return report
+        return move

@@ -15,8 +15,8 @@ around a :class:`~repro.sim.stepper.ResumableStepper`:
   so property violations appear in the stream the round they happen
   instead of only in a post-mortem summary;
 * under the **sharded engine**, healing-log entries (worker deaths,
-  heals, stabilizations, relocation redeploys) are forwarded as
-  ``service.heal`` events via the engine's incremental cursor.
+  heals, stabilizations, relocations sent to the fleet) are forwarded
+  as ``service.heal`` events via the engine's incremental cursor.
 
 One turn of the loop (:meth:`tick`) is: apply due commands, step one
 round, forward heal events, snapshot if due, pump the buffer. The whole

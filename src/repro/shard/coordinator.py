@@ -4,11 +4,13 @@ The coordinator owns the **authoritative** :class:`~repro.core.system.System`
 — the same object monitors, metrics, traces and the lockstep harness
 observe — and drives one round as three exchanges with the shard fleet:
 
-1. **route**: ship each live shard its rim's pre-round effective dists
-   (plus any fail/recover events and membership resyncs for its own
-   cells); each worker re-evaluates Route on its district's dirty cells
-   (:mod:`repro.core.dirty`) and returns the cells whose ``dist`` or
-   ``next`` changed. The coordinator sorts the merged results into
+1. **route**: ship each live shard the live target ``tid``, its rim's
+   pre-round effective dists, and any fail/recover/relocate events and
+   membership resyncs for its own cells (a target relocation is a
+   ``relocate`` event for each of the old and the new target's
+   districts); each worker re-evaluates Route on its district's dirty
+   cells (:mod:`repro.core.dirty`) and returns the cells whose ``dist``
+   or ``next`` changed. The coordinator sorts the merged results into
    global row-major order and applies them — producing the exact
    ``RoutePhaseReport`` the reference sweep would, since applying
    records only real changes.
@@ -18,12 +20,14 @@ observe — and drives one round as three exchanges with the shard fleet:
    slice of the grant report; again merged row-major. A live cell no
    worker evaluated holds ``(NEPrev, token, signal) = (empty, bot, bot)``,
    which is what the reference sweep would write.
-3. Move runs **coordinator-side** (``apply_moves`` on the movers derived
-   from the merged grant report, exactly like the incremental engine),
-   as does source production — one global RNG stream, unsplittable.
-   A **commit** message then replays each district's slice of the
+3. Move runs **coordinator-side** (on the movers derived from the
+   merged grant report, exactly like the incremental engine), as does
+   source production — one global RNG stream, unsplittable. A
+   **commit** message then replays each district's slice of the
    outcome (translations, transfers, produced entities) on its worker.
 
+:func:`~repro.core.system.run_round` assembles the three phases and
+production into the round, with the commit as its production hook.
 Because every phase merge is applied to the authoritative state in the
 reference's own order by the reference's own rules, the round is
 byte-identical to the reference engine for *any* shard count — the
@@ -56,15 +60,15 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import repro
 from repro.core.cell import effective_dist, effective_next, effective_nonempty
 from repro.core.dirty import row_major as _row_major
-from repro.core.move import MovePhaseReport, apply_moves
+from repro.core.move import MovePhaseReport, movers_from_grants
 from repro.core.route import RoutePhaseReport
 from repro.core.signal import SignalPhaseReport
-from repro.core.system import RoundReport, System
+from repro.core.system import RoundReport, System, run_round
 from repro.grid.topology import CellId, direction_between
 from repro.shard.channel import ChannelError, ShardChannel
 from repro.shard.partition import ShardPlan
@@ -168,32 +172,17 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
 
     def _on_cell_event(self, event: str, cid: CellId) -> None:
-        if event == "relocate":
-            # Target relocation changes every worker's routing anchor
-            # (tid is part of the init payload, not a per-round message).
-            # Redeploy the fleet: reap all workers now and respawn them
-            # lazily from the authoritative post-relocation state at the
-            # next step — the same snapshot path a heal uses. Fired twice
-            # per relocation (old cell, then new cell); close() is
-            # idempotent so the fleet restarts exactly once.
-            if self._started:
-                self.close()
-                self._log(
-                    {
-                        "event": "relocated",
-                        "round": self.system.round_index,
-                        "cell": list(cid),
-                    }
-                )
-            if self._chained_cell_observer is not None:
-                self._chained_cell_observer(event, cid)
-            return
         handle = self._handles[self.plan.owner(cid)]
         if handle.status == "live":
             if event == "members":
                 handle.pending_member_sync.add(cid)
-            else:  # fail / recover
+            else:  # fail / recover / relocate
                 handle.pending_events.append((event, cid))
+        if event == "relocate" and cid != self.system.tid and self._started:
+            # Fired for the old target, then the new one: one entry per
+            # relocation sent to the running fleet.
+            round_index = self.system.round_index
+            self._log({"event": "relocated", "round": round_index, "cell": list(cid)})
         if self._chained_cell_observer is not None:
             self._chained_cell_observer(event, cid)
 
@@ -203,36 +192,23 @@ class ShardCoordinator:
 
     def step(self) -> RoundReport:
         """Run one full round across the fleet; returns the merged report."""
-        system = self.system
         self._ensure_started()
         self._begin_round()
-        round_index = system.round_index
-        route_report = self._route_phase(round_index)
-        system._notify_phase("route")
-        signal_report = self._signal_phase(round_index)
-        system._notify_phase("signal")
-        move_report, movers = self._move_phase(signal_report)
-        system._notify_phase("move")
-        system.total_consumed += len(move_report.consumed)
-        produced = system._produce()
-        system._notify_phase("produce")
-        self._commit_phase(round_index, movers, move_report, produced)
-        report = RoundReport(
-            round_index=round_index,
-            route=route_report,
-            signal=signal_report,
-            move=move_report,
-            produced=produced,
+        report = run_round(
+            self.system,
+            self._route_phase,
+            self._signal_phase,
+            self._move_phase,
+            self._commit_phase,
         )
-        system.round_index += 1
-        self._watch_stabilization(round_index, route_report)
+        self._watch_stabilization(report.round_index, report.route)
         return report
 
     # ------------------------------------------------------------------
     # Phases
     # ------------------------------------------------------------------
 
-    def _route_phase(self, round_index: int) -> RoutePhaseReport:
+    def _route_phase(self) -> RoutePhaseReport:
         system = self.system
         cells = system.cells
 
@@ -240,7 +216,8 @@ class ShardCoordinator:
             events, handle.pending_events = handle.pending_events, []
             sync, handle.pending_member_sync = handle.pending_member_sync, set()
             return {
-                "round": round_index,
+                "round": system.round_index,
+                "tid": system.tid,
                 "events": events,
                 "member_sync": {
                     cid: [
@@ -282,13 +259,13 @@ class ShardCoordinator:
         apply_route_updates(cells, merged, report)
         return report
 
-    def _signal_phase(self, round_index: int) -> SignalPhaseReport:
+    def _signal_phase(self, route_report: RoutePhaseReport) -> SignalPhaseReport:
         system = self.system
         cells = system.cells
 
         def payload(handle: _ShardHandle) -> Dict[str, Any]:
             return {
-                "round": round_index,
+                "round": system.round_index,
                 "ghosts": {
                     cid: (effective_next(cells[cid]), effective_nonempty(cells[cid]))
                     for cid in handle.rim
@@ -333,30 +310,19 @@ class ShardCoordinator:
         )
         return report
 
-    def _move_phase(
-        self, signal_report: SignalPhaseReport
-    ) -> Tuple[MovePhaseReport, List[Tuple[CellId, CellId]]]:
-        """Move on the authoritative state, derived from the grant report
-        exactly like the incremental engine (PR 4 proved the derivation
-        equivalent to the reference's ``effective_signal`` scan)."""
-        system = self.system
-        movers = sorted(
-            ((grantee, granter) for granter, grantee in signal_report.granted.items()),
-            key=lambda pair: _row_major(pair[0]),
-        )
-        report = apply_moves(
-            system.grid, system.cells, system.params, system.consumes, movers
-        )
-        return report, movers
+    def _move_phase(self, signal_report: SignalPhaseReport) -> MovePhaseReport:
+        """Move on the authoritative state, from the merged grant report
+        (``movers_from_grants``, as the incremental engine does); the
+        movers and the report are kept for the commit."""
+        movers = movers_from_grants(signal_report.granted)
+        self._moves = (movers, self.system.move_cells(movers))
+        return self._moves[1]
 
-    def _commit_phase(
-        self,
-        round_index: int,
-        movers: Sequence[Tuple[CellId, CellId]],
-        move_report: MovePhaseReport,
-        produced,
-    ) -> None:
+    def _commit_phase(self, produced) -> None:
+        """Replay each district's slice of this round's Move and
+        production on its worker."""
         system = self.system
+        movers, move_report = self._moves
         removed_by_src: Dict[CellId, List[int]] = {}
         for transfer in move_report.transfers:
             removed_by_src.setdefault(transfer.src, []).append(transfer.uid)
@@ -374,7 +340,7 @@ class ShardCoordinator:
         def payload(handle: _ShardHandle) -> Dict[str, Any]:
             inside = handle.district_set
             return {
-                "round": round_index,
+                "round": system.round_index,
                 "movers": [m for m in mover_wire if m[0] in inside],
                 "incoming": [x for x in incoming if x[0] in inside],
                 "produced": [x for x in produced_wire if x[0] in inside],

@@ -14,9 +14,10 @@ coordinator's authoritative state.
 A worker evaluates only its district's *dirty* cells: it keeps the
 incremental engine's per-phase dirty sets (:mod:`repro.core.dirty`,
 restricted to the district) and feeds every change it sees into the
-same rules — its own Route results, fail/recover events, membership
-changes from commits and ``member_sync``, and rim ghosts that differ
-from the previous round's. Route replies list only the cells whose
+same rules — its own Route results, fail/recover/relocate events
+(the fault rule, as in the incremental engine), membership changes
+from commits and ``member_sync``, and rim ghosts that differ from the
+previous round's. Route replies list only the cells whose
 ``dist`` or ``next`` changed; Signal replies list the evaluated cells.
 
 The district computations live here as **pure module functions**
@@ -193,13 +194,17 @@ def apply_events(
     tid: CellId,
     events: Sequence[Tuple[str, CellId]],
 ) -> None:
-    """Replay fail/recover environment transitions on district cells."""
+    """Replay fail/recover/relocate environment transitions on district
+    cells; ``tid`` is the live target after all of them. A ``relocate``
+    replays ``System.relocate_target`` on the old or the new target."""
     for event, cid in events:
         state = cells[cid]
         if event == "fail":
             state.mark_failed()
         elif event == "recover":
             state.mark_recovered(is_target=(cid == tid))
+        elif event == "relocate":
+            state.mark_retargeted(is_target=(cid == tid))
 
 
 def apply_member_sync(
@@ -353,6 +358,7 @@ class DistrictWorker(DirtyCells):
         raise ValueError(f"unknown request kind {kind!r}")
 
     def _handle_route(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        self.tid = payload["tid"]
         events = payload.get("events", ())
         apply_events(self.cells, self.tid, events)
         for _, cid in events:

@@ -25,8 +25,8 @@ class FaultSpec:
     """Declarative fault model: Bernoulli fail/recover coins.
 
     ``pf = 0`` means fault-free. ``protect_target`` grants the target cell
-    immunity (the analysis assumption); the Figure 9 experiment leaves it
-    False so even the target churns.
+    immunity (the analysis assumption), wherever it is relocated; the
+    Figure 9 experiment leaves it False so even the target churns.
     """
 
     pf: float = 0.0

@@ -64,11 +64,11 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional, Type
 
-from repro.core.dirty import DirtyCells, row_major as _row_major
-from repro.core.move import MovePhaseReport
+from repro.core.dirty import DirtyCells
+from repro.core.move import MovePhaseReport, movers_from_grants
 from repro.core.route import RoutePhaseReport
 from repro.core.signal import SignalPhaseReport
-from repro.core.system import RoundReport, System
+from repro.core.system import RoundReport, System, run_round
 from repro.grid.topology import CellId
 from repro.multiflow import MULTIFLOW_ENGINES
 
@@ -103,8 +103,22 @@ class RoundEngine:
         self.config = config
 
     def step(self) -> RoundReport:
-        """Run one round; returns the round's report."""
-        raise NotImplementedError
+        """Run one round from this engine's phases; returns its report.
+
+        :func:`~repro.core.system.run_round` assembles the round: an
+        engine supplies ``_route_phase()``, ``_signal_phase(route)``,
+        ``_move_phase(signal)`` and, optionally, ``_on_produced``.
+        """
+        return run_round(
+            self.system,
+            self._route_phase,
+            self._signal_phase,
+            self._move_phase,
+            self._on_produced,
+        )
+
+    #: Optional hook ``(produced) -> None`` run after production.
+    _on_produced = None
 
     def close(self) -> None:
         """Release engine-held resources (worker processes, channels).
@@ -158,31 +172,8 @@ class IncrementalEngine(RoundEngine, DirtyCells):
             self._chained_cell_observer(event, cid)
 
     # ------------------------------------------------------------------
-    # The round
+    # The phases (assembled by RoundEngine.step)
     # ------------------------------------------------------------------
-
-    def step(self) -> RoundReport:
-        """One synchronous round, mirroring ``System.update`` exactly."""
-        system = self.system
-        route_report = self._route_phase()
-        system._notify_phase("route")
-        signal_report = self._signal_phase(route_report)
-        system._notify_phase("signal")
-        move_report = self._move_phase(signal_report)
-        system._notify_phase("move")
-        system.total_consumed += len(move_report.consumed)
-        produced = system._produce()
-        self._mark_production(produced)
-        system._notify_phase("produce")
-        report = RoundReport(
-            round_index=system.round_index,
-            route=route_report,
-            signal=signal_report,
-            move=move_report,
-            produced=produced,
-        )
-        system.round_index += 1
-        return report
 
     def _route_phase(self) -> RoutePhaseReport:
         """Route over the dirty set only (Jacobi semantics preserved:
@@ -213,26 +204,15 @@ class IncrementalEngine(RoundEngine, DirtyCells):
         return report
 
     def _move_phase(self, signal_report: SignalPhaseReport) -> MovePhaseReport:
-        """Move derived from this round's grants.
-
-        A cell moves iff its ``next`` granted it the signal this round;
-        because skipped cells always hold ``signal = bot`` (the Signal
-        invariant) and grants are recomputed for every hot cell each
-        round, the grant report is exactly the reference engine's
-        ``effective_signal`` scan.
-        """
-        movers = sorted(
-            ((grantee, granter) for granter, grantee in signal_report.granted.items()),
-            key=lambda pair: _row_major(pair[0]),
-        )
-        report = self.system.move_cells(movers)
+        """Move derived from this round's grants (``movers_from_grants``)."""
+        report = self.system.move_cells(movers_from_grants(signal_report.granted))
         for transfer in report.transfers:
             self._mark_membership_change(transfer.src)
             if not transfer.consumed:
                 self._mark_membership_change(transfer.dst)
         return report
 
-    def _mark_production(self, produced) -> None:
+    def _on_produced(self, produced) -> None:
         """Fresh entities change their source cells' observed emptiness."""
         for entity in produced:
             self._mark_membership_change(entity.cell)

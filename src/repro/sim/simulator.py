@@ -65,6 +65,7 @@ class Simulator:
         self.rounds = rounds
         self.warmup = warmup
         self.injector = injector or FaultInjector(NoFaults())
+        self.injector.split(system)  # note the target before any relocation
         self.monitors = monitors
         if self.monitors is not None:
             self.monitors.attach(system)

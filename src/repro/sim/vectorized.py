@@ -42,12 +42,12 @@ from repro.core.arrays import (
     route_relax,
 )
 from repro.core.cell import dist_from_int
-from repro.core.move import MovePhaseReport, apply_moves
+from repro.core.move import MovePhaseReport, movers_from_grants
 from repro.core.route import RoutePhaseReport
 from repro.core.signal import SignalPhaseReport, _signal_step, gap_clear_extents
-from repro.core.system import RoundReport, System
+from repro.core.system import System
 from repro.grid.topology import CellId
-from repro.sim.engine import RoundEngine, _row_major
+from repro.sim.engine import RoundEngine
 
 try:  # soft dependency; construction is gated by require_numpy()
     import numpy as np
@@ -102,31 +102,8 @@ class VectorizedEngine(RoundEngine):
             self.arrays.sync_cell(k, state)
 
     # ------------------------------------------------------------------
-    # The round
+    # The phases (assembled by RoundEngine.step)
     # ------------------------------------------------------------------
-
-    def step(self) -> RoundReport:
-        """One synchronous round, mirroring ``System.update`` exactly."""
-        system = self.system
-        route_report = self._route_phase()
-        system._notify_phase("route")
-        signal_report = self._signal_phase()
-        system._notify_phase("signal")
-        move_report = self._move_phase(signal_report)
-        system._notify_phase("move")
-        system.total_consumed += len(move_report.consumed)
-        produced = system._produce()
-        self._note_production(produced)
-        system._notify_phase("produce")
-        report = RoundReport(
-            round_index=system.round_index,
-            route=route_report,
-            signal=signal_report,
-            move=move_report,
-            produced=produced,
-        )
-        system.round_index += 1
-        return report
 
     def _route_phase(self) -> RoutePhaseReport:
         """Whole-grid relaxation; write back only the changed cells."""
@@ -157,7 +134,7 @@ class VectorizedEngine(RoundEngine):
         arrays.next = new_next
         return report
 
-    def _signal_phase(self) -> SignalPhaseReport:
+    def _signal_phase(self, route_report: RoutePhaseReport) -> SignalPhaseReport:
         """Signal over active cells only (ascending flat = row-major).
 
         A cell is *active* when some neighbor routes through it while
@@ -202,17 +179,8 @@ class VectorizedEngine(RoundEngine):
         return report
 
     def _move_phase(self, signal_report: SignalPhaseReport) -> MovePhaseReport:
-        """Move derived from this round's grants (see the incremental
-        engine: under the Signal invariant the grant report equals the
-        reference's full ``effective_signal`` scan)."""
-        system = self.system
-        movers = sorted(
-            ((grantee, granter) for granter, grantee in signal_report.granted.items()),
-            key=lambda pair: _row_major(pair[0]),
-        )
-        report = apply_moves(
-            system.grid, system.cells, system.params, system.consumes, movers
-        )
+        """Move derived from this round's grants (``movers_from_grants``)."""
+        report = self.system.move_cells(movers_from_grants(signal_report.granted))
         member_count = self.arrays.member_count
         flat = self.arrays.flat
         for transfer in report.transfers:
@@ -221,7 +189,7 @@ class VectorizedEngine(RoundEngine):
                 member_count[flat(transfer.dst)] += 1
         return report
 
-    def _note_production(self, produced) -> None:
+    def _on_produced(self, produced) -> None:
         """Count fresh entities at their source cells."""
         member_count = self.arrays.member_count
         flat = self.arrays.flat

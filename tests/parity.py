@@ -15,13 +15,19 @@ source trees can be compared round by round:
   the state digest and a digest of the canonical round report every
   round: ``random_multiflow_config`` seeds 0-39 with and without
   faults, ``benchmarks/bench_multiflow.py``'s three crossings, the
-  multi-commodity corpus scenarios, and ``random_config`` seeds 0-25.
+  multi-commodity corpus scenarios, and ``random_config`` seeds 0-25;
+* the two baselines, which no lockstep compares to anything:
+  ``UnsafeSystem`` and ``CentralizedSystem`` (reliable and flaky
+  coordinator) on churned open grids, digested the same way;
+* four target relocations under Bernoulli churn (across districts,
+  onto district rims, back to the start) on the ``reference``,
+  ``incremental`` and ``sharded`` engines.
 
 It uses only interfaces that both trees have, so it runs against each:
 
     PYTHONPATH=/path/to/old/src python -m tests.parity dump old.json
     PYTHONPATH=src python -m tests.parity dump new.json
-    python -m tests.parity compare old.json new.json
+    PYTHONPATH=src python -m tests.parity compare old.json new.json
 
 ``compare`` prints every run that differs and exits 1 if any does.
 """
@@ -33,21 +39,25 @@ import json
 import random
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Dict, List
 
+from repro.baselines import CentralizedSystem, CoordinatorSpec, UnsafeSystem
 from repro.core.params import Parameters
 from repro.core.sources import EagerSource
 from repro.core.system import System
+from repro.faults.injector import FaultInjector
 from repro.faults.model import BernoulliFaultModel
 from repro.fuzz.generator import Scenario, generate_scenario
 from repro.fuzz.oracles import NetworkOracle
 from repro.grid.paths import straight_path, turns_path
 from repro.grid.topology import Direction, Grid
+from repro.monitors.recorder import MonitorSuite
 from repro.multiflow.commodities import default_commodities
 from repro.netsim import LossyDelay, TimedEngine
 from repro.sim.config import FaultSpec, SimulationConfig
-from repro.sim.simulator import build_simulation
+from repro.sim.simulator import Simulator, build_simulation
 from repro.testing.differential import (
     canonical_report,
     random_config,
@@ -203,12 +213,17 @@ def lossy_runs() -> Dict[str, Dict]:
     return runs
 
 
-def _engine_run(config: SimulationConfig, engine: str) -> Dict:
-    sim = build_simulation(config, engine=engine)
+def _digested_run(sim: Simulator, rounds: int, relocations=None) -> Dict:
+    """Step ``sim``, moving the target before the rounds ``relocations``
+    names; the state and report digests of every round."""
     if sim.monitors is not None:
         sim.monitors.strict = False
     states, reports = [], []
-    for _ in range(config.rounds):
+    for round_index in range(rounds):
+        cell = (relocations or {}).get(round_index)
+        if cell is not None:
+            sim.system.recover(cell)  # a no-op unless churn failed it
+            sim.system.relocate_target(cell)
         report = sim.step()
         states.append(_short(sim.system))
         parts = repr(canonical_report(report)).encode()
@@ -220,6 +235,12 @@ def _engine_run(config: SimulationConfig, engine: str) -> Dict:
         "consumed": sim.system.total_consumed,
         "violations": len(sim.monitors.violations) if sim.monitors else 0,
     }
+
+
+def _engine_run(config: SimulationConfig, engine: str, relocations=None) -> Dict:
+    return _digested_run(
+        build_simulation(config, engine=engine), config.rounds, relocations
+    )
 
 
 def engine_runs() -> Dict[str, Dict]:
@@ -257,7 +278,59 @@ def engine_runs() -> Dict[str, Dict]:
     }
 
 
-SECTIONS = ("timed", "netsim_oracle", "lossy", "engines")
+def baseline_runs() -> Dict[str, Dict]:
+    baselines = {
+        "unsafe": UnsafeSystem,
+        "centralized-reliable": partial(
+            CentralizedSystem, coordinator=CoordinatorSpec(period=4)
+        ),
+        "centralized-flaky": partial(
+            CentralizedSystem, coordinator=CoordinatorSpec(period=3, pf=0.1, pr=0.3)
+        ),
+    }
+    runs = {}
+    for name, make in baselines.items():
+        for seed in range(4):
+            system = make(
+                grid=Grid(6),
+                params=PARAMS,
+                tid=(5, 5),
+                sources={(0, 0): EagerSource(), (5, 0): EagerSource()},
+                rng=random.Random(seed),
+            )
+            injector = FaultInjector(
+                BernoulliFaultModel(pf=0.03, pr=0.3, immune=frozenset({(5, 5)})),
+                rng=random.Random(100 + seed),
+            )
+            sim = Simulator(system, 150, injector=injector, monitors=MonitorSuite())
+            runs[f"{name}/seed{seed}"] = _digested_run(sim, 150)
+    return runs
+
+
+#: Target relocations on an 8x8 grid: across districts, onto the rim
+#: cells of the row bands either side of the middle, back to the start.
+RELOCATIONS = {20: (2, 1), 40: (5, 4), 60: (7, 3), 80: (6, 6)}
+
+
+def relocation_runs() -> Dict[str, Dict]:
+    runs = {}
+    for seed in range(3):
+        config = SimulationConfig(
+            grid_width=8,
+            params=PARAMS,
+            rounds=110,
+            tid=(6, 6),
+            sources=((0, 0), (0, 7)),
+            fault=FaultSpec(pf=0.02, pr=0.3),
+            seed=seed,
+            shards=2,
+        )
+        for engine in ("reference", "incremental", "sharded"):
+            runs[f"seed{seed}/{engine}"] = _engine_run(config, engine, RELOCATIONS)
+    return runs
+
+
+SECTIONS = ("timed", "netsim_oracle", "lossy", "engines", "baselines", "relocations")
 
 
 def dump(out: Path) -> None:
@@ -266,6 +339,8 @@ def dump(out: Path) -> None:
         "netsim_oracle": network_oracle_legs(),
         "lossy": lossy_runs(),
         "engines": engine_runs(),
+        "baselines": baseline_runs(),
+        "relocations": relocation_runs(),
     }
     out.write_text(json.dumps(record, indent=1, sort_keys=True))
     timed = record["timed"]
@@ -283,6 +358,12 @@ def dump(out: Path) -> None:
         f"engine runs: {len(engines)} ({len(multiflow)} multi-commodity), "
         f"monitor violations: {sum(run['violations'] for run in engines.values())}"
     )
+    for section in ("baselines", "relocations"):
+        for name, run in sorted(record[section].items()):
+            print(
+                f"{section}/{name}: consumed {run['consumed']}, "
+                f"monitor violations {run['violations']}"
+            )
 
 
 def compare(old_path: Path, new_path: Path) -> int:

@@ -68,7 +68,7 @@ def soak_schedule(rounds: int):
     schedule.append(
         (max(rounds // 8, 10), {"v": 1, "cmd": "adversary", "spec": "regional_failure"})
     )
-    # One target relocation at the midpoint (restarts the shard fleet).
+    # One target relocation at the midpoint (sent to the running shard fleet).
     schedule.append((rounds // 2, {"v": 1, "cmd": "relocate", "target": [7, 0]}))
     schedule.append((rounds, {"v": 1, "cmd": "shutdown"}))
     return schedule

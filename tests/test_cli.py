@@ -70,6 +70,21 @@ class TestCommands:
         assert "\n" not in message
         assert "REPRO_ENGINE=timed" in message
 
+    @pytest.mark.parametrize("command", ["run", "watch", "trace", "svg", "serve"])
+    @pytest.mark.parametrize("commodities", [[], ["--commodities", "2", "--grid", "5"]])
+    def test_unknown_engine_from_the_environment_is_a_usage_error(
+        self, command, commodities, monkeypatch
+    ):
+        """``--engine bogus`` is an argparse error; ``REPRO_ENGINE=bogus``
+        exits 1 with one line naming the variable and the engines."""
+        monkeypatch.setenv("REPRO_ENGINE", "bogus")
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *commodities])
+        message = str(excinfo.value.code)
+        assert "\n" not in message
+        assert "REPRO_ENGINE=bogus: unknown round engine" in message
+        assert "reference, incremental, vectorized, timed, sharded" in message
+
     def test_multiflow_engine_flag_overrides_the_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "vectorized")
         code = main(

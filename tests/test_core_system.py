@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.baselines import CentralizedSystem, CoordinatorSpec, UnsafeSystem
 from repro.core.cell import INFINITY
 from repro.core.params import Parameters
 from repro.core.policies import RandomTokenPolicy
@@ -12,8 +13,67 @@ from repro.core.sources import CappedSource, EagerSource
 from repro.core.system import System, build_corridor_system
 from repro.grid.paths import straight_path, turns_path
 from repro.grid.topology import Direction, Grid
+from repro.sim.config import FaultSpec, SimulationConfig
+from repro.sim.engine import ENGINES
+from repro.sim.simulator import build_simulation
+from repro.testing.differential import random_multiflow_config
 
 PARAMS = Parameters(l=0.25, rs=0.05, v=0.2)
+
+#: A churned open grid: every realization below runs it (or, for the
+#: multi-commodity systems, a randomized multi-commodity config).
+CHURNED = SimulationConfig(
+    grid_width=4,
+    params=PARAMS,
+    rounds=40,
+    tid=(3, 3),
+    sources=((0, 0),),
+    fault=FaultSpec(pf=0.05, pr=0.3, protect_target=True),
+    seed=2,
+    shards=2,
+)
+OBSERVED_ROUNDS = 40
+
+
+def _simulated(engine, config=CHURNED):
+    def build():
+        if engine == "vectorized":
+            pytest.importorskip("numpy")
+        sim = build_simulation(config, engine=engine)
+        return sim.system, sim.step, sim.engine.close
+
+    return build
+
+
+def _updated(system_class, **kwargs):
+    def build():
+        system = system_class(
+            grid=Grid(4),
+            params=PARAMS,
+            tid=(3, 3),
+            sources={(0, 0): EagerSource()},
+            **kwargs,
+        )
+        return system, system.update, lambda: None
+
+    return build
+
+
+#: Every realization of the round: name -> () -> (system, step, close).
+REALIZATIONS = {
+    **{f"system-{name}": _simulated(name) for name in ENGINES},
+    **{
+        f"multiflow-{name}": _simulated(name, random_multiflow_config(1))
+        for name in ("reference", "incremental")
+    },
+    "unsafe": _updated(UnsafeSystem),
+    "centralized-up": _updated(
+        CentralizedSystem, coordinator=CoordinatorSpec(period=3)
+    ),
+    "centralized-down": _updated(
+        CentralizedSystem, coordinator=CoordinatorSpec(pf=1.0, pr=0.0)
+    ),
+}
 
 
 class TestConstruction:
@@ -182,12 +242,36 @@ class TestEndToEnd:
         assert [r.round_index for r in reports] == [0, 1, 2, 3, 4]
         assert system.round_index == 5
 
-    def test_phase_observer_sequence(self):
-        system = System(grid=Grid(2, 1), params=PARAMS, tid=(1, 0))
+    @pytest.mark.parametrize("realization", sorted(REALIZATIONS))
+    def test_phase_observer_sequence(self, realization):
+        """Every system's ``update`` and every engine's ``step`` is one
+        ``run_round``: each round fires the four phase notifications in
+        order, advances ``round_index`` once, reports the index it ran
+        at, and adds its consumptions to ``total_consumed``."""
+        system, step, close = REALIZATIONS[realization]()
         phases = []
-        system.phase_observer = lambda name, _system: phases.append(name)
-        system.update()
-        assert phases == ["route", "signal", "move", "produce"]
+        chained = system.phase_observer
+
+        def observe(name, observed):
+            phases.append(name)
+            if chained is not None:
+                chained(name, observed)
+
+        system.phase_observer = observe
+        consumed = 0
+        try:
+            for _ in range(OBSERVED_ROUNDS):
+                before, total = system.round_index, system.total_consumed
+                phases.clear()
+                report = step()
+                assert phases == ["route", "signal", "move", "produce"]
+                assert system.round_index == before + 1
+                assert report.round_index == before
+                assert system.total_consumed == total + len(report.move.consumed)
+                consumed += len(report.move.consumed)
+        finally:
+            close()
+        assert (consumed > 0) == (realization != "centralized-down")
 
 
 class TestClone:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.dirty import row_major as _row_major
 from repro.core.move import apply_moves, collect_movers
 from repro.core.params import Parameters
 from repro.core.signal import SignalPhaseReport, _signal_step, compute_ne_prev
@@ -30,7 +31,6 @@ from repro.sim.engine import (
     IncrementalEngine,
     ReferenceEngine,
     VectorizedEngine,
-    _row_major,
     make_engine,
     resolve_engine_name,
 )

@@ -16,6 +16,8 @@ from repro.faults.model import (
 )
 from repro.faults.schedule import FaultEvent, ScriptedFaultModel
 from repro.grid.topology import Grid
+from repro.sim.config import FaultSpec, SimulationConfig
+from repro.sim.stepper import ResumableStepper
 
 PARAMS = Parameters(l=0.25, rs=0.05, v=0.2)
 CELLS = [(i, j) for i in range(3) for j in range(3)]
@@ -291,3 +293,50 @@ class TestSplice:
         injector.splice(relocations=[(2, (1, 1))], offset=2)
         assert injector.relocations == ((4, (1, 1)), (9, (0, 3)))
         assert isinstance(injector.model, NoFaults)
+
+    @pytest.mark.parametrize("start", [3, 6, 9])
+    def test_overdue_relocations_apply_in_order(self, start):
+        """An injector first applied after some of its relocations' rounds
+        (once past several of them) applies each overdue one, in order, at
+        that first apply, and the later ones at their rounds."""
+        system = System(grid=Grid(4), params=PARAMS, tid=(3, 3))
+        injector = FaultInjector(relocations=[(1, (2, 2)), (5, (0, 3)), (7, (1, 1))])
+        moves = []
+        system.cell_observer = lambda event, cid: moves.append(cid)
+        system.run(start)
+        targets = {}
+        for _ in range(start, 10):
+            injector.apply(system)
+            targets[system.round_index] = system.tid
+            system.update()
+        assert moves[1::2] == [(2, 2), (0, 3), (1, 1)]
+        assert targets == {
+            r: (2, 2) if r < 5 else (0, 3) if r < 7 else (1, 1) for r in targets
+        }
+
+
+def test_a_protected_target_stays_protected_where_it_moves():
+    """Bernoulli churn with ``protect_target`` on a 6x6 grid, the target
+    relocated at round 5 between rounds (serve's ``relocate``): on 20
+    seeds the live target never fails, and the old one churns again."""
+    old_failures = 0
+    for seed in range(20):
+        config = SimulationConfig(
+            grid_width=6,
+            params=PARAMS,
+            rounds=60,
+            tid=(5, 5),
+            sources=((0, 0),),
+            fault=FaultSpec(pf=0.05, pr=0.2, protect_target=True),
+            seed=seed,
+        )
+        stepper = ResumableStepper(config)
+        for round_index in range(60):
+            if round_index == 5:
+                stepper.recover((4, 1))  # a no-op unless churn failed it
+                stepper.relocate_target((4, 1))
+            stepper.step()
+            system = stepper.system
+            assert not system.cells[system.tid].failed, (seed, round_index)
+            old_failures += system.cells[(5, 5)].failed
+    assert old_failures > 0

@@ -53,6 +53,7 @@ from repro.serve import (
     soak_verdicts,
 )
 from repro.serve.sinks import _repair_torn_tail
+from repro.shard.coordinator import ShardCoordinator
 from repro.sim.config import SimulationConfig
 
 PARAMS = Parameters(l=0.25, rs=0.05, v=0.2)
@@ -692,10 +693,20 @@ class TestService:
 
 
 class TestServiceSharded:
-    def test_relocation_streams_a_heal_event(self):
-        """Under the sharded engine, a mid-run relocation restarts the
-        fleet (worker target identity is fixed at init); the healing log
-        records it and serve forwards it as a ``service.heal`` event."""
+    def test_relocation_streams_a_heal_event(self, monkeypatch):
+        """Under the sharded engine, a mid-run relocation reaches the
+        running fleet as ``relocate`` events for the districts of the old
+        and the new target (the route exchange carries the live target);
+        no worker restarts. The healing log records one ``relocated``
+        entry, and serve forwards it as a ``service.heal`` event."""
+        spawned = []
+        spawn = ShardCoordinator._spawn
+
+        def counting_spawn(coordinator, handle):
+            spawned.append(handle.shard_id)
+            spawn(coordinator, handle)
+
+        monkeypatch.setattr(ShardCoordinator, "_spawn", counting_spawn)
         schedule = [
             (5, {"v": 1, "cmd": "relocate", "target": [0, 5]}),
             (12, {"v": 1, "cmd": "shutdown"}),
@@ -707,7 +718,8 @@ class TestServiceSharded:
             config=small_config(engine="sharded", shards=2),
         )
         heals = [r for r in sink.records if r["type"] == "service.heal"]
-        assert any(h["entry"]["event"] == "relocated" for h in heals)
+        assert [h["entry"]["event"] for h in heals] == ["relocated"]
+        assert sorted(spawned) == [0, 1]
         assert service.stats()["heals_forwarded"] == len(heals)
         assert result.metrics["counters"]["serve.heals"] == len(heals)
         assert result.monitor_violations == 0

@@ -32,6 +32,9 @@ ROUNDS = 30
 #: The round before which an entity is seeded into an empty cell (what
 #: serve ``arrive`` does; it reaches the owning worker as ``member_sync``).
 SEED_ROUND = 12
+#: Rounds before which a relocating run moves the target (serve
+#: ``relocate``): twice to the live cell farthest from it, then back.
+RELOCATE_ROUNDS = (8, 16, 24)
 
 
 def _wire(value):
@@ -102,8 +105,29 @@ def seed_cell(system):
     return None
 
 
-def first_divergence(seed, worker_class=DistrictWorker):
-    """Reference vs the in-process fleet at 2 and 4 shards, in lockstep.
+def relocate(sims, round_index, start):
+    """Move every run's target the same way (see ``RELOCATE_ROUNDS``)."""
+    system = sims["reference"].system
+    if round_index == RELOCATE_ROUNDS[-1]:
+        cell = start
+    else:
+        (i, j) = system.tid
+        cell = max(
+            (
+                cid
+                for cid in sorted(system.cells)
+                if not system.cells[cid].failed and cid not in system.sources
+            ),
+            key=lambda cid: abs(cid[0] - i) + abs(cid[1] - j),
+        )
+    for sim in sims.values():
+        sim.system.recover(cell)  # a no-op unless churn failed it
+        sim.system.relocate_target(cell)
+
+
+def first_divergence(seed, worker_class=DistrictWorker, relocating=False):
+    """Reference vs the in-process fleet at 2 and 4 shards, in lockstep
+    (``relocating``: with the target moved at ``RELOCATE_ROUNDS``).
 
     Returns ``None`` when every round's report and state match and every
     worker's mirror audits in sync, else a description of the first
@@ -115,8 +139,11 @@ def first_divergence(seed, worker_class=DistrictWorker):
         sims[f"sharded@{shards}"] = build_simulation(
             replace(config, shards=shards), engine="sharded"
         )
+    start = sims["reference"].system.tid
     try:
         for round_index in range(config.rounds):
+            if relocating and round_index in RELOCATE_ROUNDS:
+                relocate(sims, round_index, start)
             if round_index == SEED_ROUND:
                 cid = seed_cell(sims["reference"].system)
                 if cid is not None:
@@ -145,6 +172,12 @@ def first_divergence(seed, worker_class=DistrictWorker):
 def test_dirty_worker_matches_reference(monkeypatch, seed):
     use_in_process_fleet(monkeypatch)
     assert first_divergence(seed) is None
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dirty_worker_follows_relocations(monkeypatch, seed):
+    use_in_process_fleet(monkeypatch)
+    assert first_divergence(seed, relocating=True) is None
 
 
 def test_seeded_cell_exists_on_every_seed():
@@ -194,6 +227,26 @@ class _NoMemberSyncMarkingWorker(DistrictWorker):
 
     def _apply_member_sync(self, member_sync):
         apply_member_sync(self.cells, member_sync)
+
+
+class _DeafToRelocationWorker(DistrictWorker):
+    """MUTANT: ``relocate`` events are dropped, so the worker's mirror
+    keeps the old target at dist 0 and never anchors the new one."""
+
+    def _handle_route(self, payload):
+        events = [e for e in payload.get("events", ()) if e[0] != "relocate"]
+        return super()._handle_route({**payload, "events": events})
+
+
+def test_worker_deaf_to_relocation_is_caught(monkeypatch):
+    use_in_process_fleet(monkeypatch, _DeafToRelocationWorker)
+    caught = [
+        seed
+        for seed in SEEDS
+        if first_divergence(seed, _DeafToRelocationWorker, relocating=True)
+        is not None
+    ]
+    assert caught == list(SEEDS)
 
 
 @pytest.mark.parametrize(

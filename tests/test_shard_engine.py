@@ -18,9 +18,10 @@ import pytest
 
 from repro.core.policies import RandomTokenPolicy
 from repro.core.params import Parameters
-from repro.sim.config import SimulationConfig
+from repro.sim.config import FaultSpec, SimulationConfig
 from repro.sim.engine import ENGINES, make_engine
 from repro.sim.simulator import build_simulation
+from repro.shard.coordinator import ShardCoordinator
 from repro.shard.engine import ShardedEngine
 from repro.testing.differential import canonical_report, canonical_state, random_config
 
@@ -144,6 +145,75 @@ class TestWorkerSync:
         finally:
             sim_sharded.engine.close()
             sim_ref.engine.close()
+
+
+#: A relocation script on an 8x8 grid, whose row bands are j 0-3 | 4-7
+#: at 2 shards and two rows each at 4: across districts, onto the rim
+#: cells of the bands on either side of the middle, and back to the start.
+START = (6, 6)
+RELOCATIONS = {15: (2, 1), 30: (5, 4), 45: (7, 3), 60: START}
+
+
+class TestRelocation:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_relocations_reach_the_running_fleet(self, monkeypatch, seed):
+        """Under Bernoulli churn, a run with four relocations stays
+        state-identical to the reference every round at 1, 2 and 4
+        shards, and each worker process starts once: a relocation is a
+        ``relocate`` event for the old and the new target's districts,
+        never a redeploy."""
+        spawned = []
+        spawn = ShardCoordinator._spawn
+
+        def counting_spawn(coordinator, handle):
+            spawned.append((len(coordinator.plan.districts), handle.shard_id))
+            spawn(coordinator, handle)
+
+        monkeypatch.setattr(ShardCoordinator, "_spawn", counting_spawn)
+        config = SimulationConfig(
+            grid_width=8,
+            params=Parameters(l=0.25, rs=0.05, v=0.2),
+            rounds=90,
+            tid=START,
+            sources=((0, 0), (0, 7)),
+            fault=FaultSpec(pf=0.03, pr=0.3, protect_target=True),
+            seed=seed,
+        )
+        sims = {"reference": build_simulation(config, engine="reference")}
+        for shards in SHARD_COUNTS:
+            sims[shards] = build_simulation(
+                replace(config, shards=shards), engine="sharded"
+            )
+        try:
+            for round_index in range(config.rounds):
+                cell = RELOCATIONS.get(round_index)
+                for sim in sims.values():
+                    if cell is not None:
+                        sim.system.recover(cell)  # a no-op unless churn failed it
+                        sim.system.relocate_target(cell)
+                    sim.step()
+                expected = canonical_state(sims["reference"].system)
+                for name, sim in sims.items():
+                    assert canonical_state(sim.system) == expected, (
+                        f"round {round_index}: sharded@{name} != reference"
+                    )
+            reference = sims["reference"].system
+            assert reference.failed_cells() and reference.total_consumed > 0
+            for shards in SHARD_COUNTS:
+                coordinator = sims[shards].engine.coordinator
+                assert all(coordinator.audit().values())
+                relocated = [
+                    entry["cell"]
+                    for entry in coordinator.healing_log
+                    if entry["event"] == "relocated"
+                ]
+                assert relocated == [list(START), [2, 1], [5, 4], [7, 3]]
+        finally:
+            for sim in sims.values():
+                sim.engine.close()
+        assert sorted(spawned) == [
+            (shards, shard) for shards in SHARD_COUNTS for shard in range(shards)
+        ]
 
 
 class TestEngineSelection:
