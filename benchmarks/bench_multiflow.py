@@ -7,15 +7,24 @@ perpendicular commodities contending for shared crossing cells on an
 
 Three questions, three recorded numbers per scenario:
 
-* **engine cost** — reference vs incremental rounds/s on the same
-  config (identical outcomes, proven by the lockstep harness; the
-  delta is engine bookkeeping alone);
+* **engine cost** — reference vs incremental rounds per CPU second on
+  the same config (identical outcomes, proven by the lockstep harness;
+  the delta is engine bookkeeping alone);
 * **fairness** — the min/max consumed ratio across commodities
   (1.0 = perfectly fair; 0 = a commodity starved). Round-robin token
   rotation must keep every steady commodity above the floor gate;
 * **contention price** — aggregate throughput, for the trajectory
   record (the crossing serializes perpendicular lanes, so per-commodity
   throughput sits below a solo lane while the sum exceeds one).
+
+Methodology, engine cost: twin simulators of one config, one per
+engine, step through the horizon in alternating blocks of ``BLOCK``
+rounds (reference first in even blocks, incremental first in odd
+ones), each block timed in CPU seconds (``time.process_time``). Each
+engine's figure is the median of its per-block rates, and the speedup
+is the ratio of the two medians, so one slow moment of the host moves
+one block, not the record. The fairness and throughput figures come
+from the same twin runs, summarized after the last block.
 
 Results land in ``benchmarks/results/BENCH_multiflow.json`` with the
 tracked trajectory copy at the repo root.
@@ -24,6 +33,7 @@ tracked trajectory copy at the repo root.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -39,6 +49,10 @@ PAPER_ROUNDS = 2500  # match the corridor evaluation horizon
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+ENGINES = ("reference", "incremental")
+#: Rounds per timed block; the engines alternate block by block.
+BLOCK = 25
+
 
 def crossing_config(rounds: int, count: int, workload: str) -> SimulationConfig:
     """``count`` crossing commodities on an 8x8 grid."""
@@ -53,19 +67,16 @@ def crossing_config(rounds: int, count: int, workload: str) -> SimulationConfig:
     )
 
 
-def _timed_run(config: SimulationConfig, engine: str) -> dict:
-    simulator = build_simulation(config, engine=engine)
-    start = time.perf_counter()
-    result = simulator.run()
-    elapsed = time.perf_counter() - start
-    system = simulator.system
-    consumed = dict(system.consumed_by_commodity)
+def _entry(engine: str, simulator, rates) -> dict:
+    """One engine's record: its block rates and the run's outcome."""
+    result = simulator.summarize()
+    consumed = dict(simulator.system.consumed_by_commodity)
     floor = min(consumed.values())
     peak = max(consumed.values())
     return {
         "engine": engine,
-        "seconds": elapsed,
-        "rounds_per_sec": config.rounds / elapsed,
+        "blocks": len(rates),
+        "rounds_per_cpu_sec": statistics.median(rates),
         "throughput": result.throughput,
         "consumed_by_commodity": consumed,
         "fairness_ratio": (floor / peak) if peak else 0.0,
@@ -73,8 +84,19 @@ def _timed_run(config: SimulationConfig, engine: str) -> dict:
 
 
 def _compare(config: SimulationConfig) -> dict:
-    reference = _timed_run(config, "reference")
-    incremental = _timed_run(config, "incremental")
+    simulators = {engine: build_simulation(config, engine=engine) for engine in ENGINES}
+    rates = {engine: [] for engine in ENGINES}
+    for block, first in enumerate(range(0, config.rounds, BLOCK)):
+        size = min(BLOCK, config.rounds - first)
+        for engine in ENGINES if block % 2 == 0 else ENGINES[::-1]:
+            step = simulators[engine].step
+            start = time.process_time()
+            for _ in range(size):
+                step()
+            rates[engine].append(size / (time.process_time() - start))
+    reference, incremental = (
+        _entry(engine, simulators[engine], rates[engine]) for engine in ENGINES
+    )
     # Identical protocol outcomes — the lockstep harness's guarantee.
     assert (
         incremental["consumed_by_commodity"]
@@ -82,11 +104,14 @@ def _compare(config: SimulationConfig) -> dict:
     )
     return {
         "rounds": config.rounds,
+        "block_rounds": BLOCK,
         "commodities": len(config.commodities),
         "workload": config.workload,
         "reference": reference,
         "incremental": incremental,
-        "speedup": incremental["rounds_per_sec"] / reference["rounds_per_sec"],
+        "speedup": (
+            incremental["rounds_per_cpu_sec"] / reference["rounds_per_cpu_sec"]
+        ),
     }
 
 
@@ -110,7 +135,7 @@ def test_multiflow_throughput(benchmark, results_dir):
     for name, comparison in record.items():
         reference = comparison["reference"]
         print(
-            f"\n{name}: {reference['rounds_per_sec']:.0f} r/s reference, "
+            f"\n{name}: {reference['rounds_per_cpu_sec']:.0f} r/cpu-s reference, "
             f"speedup {comparison['speedup']:.2f}x, throughput "
             f"{reference['throughput']:.4f}, fairness "
             f"{reference['fairness_ratio']:.2f}"

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.core.cell import CellState, effective_dist
+from repro.core.cell import DIST_SENTINEL, CellState, dist_to_int
 from repro.grid.topology import CellId, Grid
 
 
@@ -55,12 +55,15 @@ def row_major(cid: CellId) -> Tuple[int, int]:
 
 
 class LiveDistView:
-    """Mapping view of the *current* effective dists, for ``_route_step``.
+    """Mapping view of the *current* effective dists in the integer
+    embedding, for ``_route_step``.
 
     A holder evaluates its dirty cells first and writes all results
     afterwards, so reading the live state through this view *is* the
-    pre-phase snapshot — without the O(cells) copy. Cells the holder
-    does not own are read from ``ghosts`` (a shard worker's rim).
+    pre-phase snapshot — without the O(cells) copy. Each read converts
+    one dist (:func:`~repro.core.cell.dist_to_int`; failed cells read
+    as the sentinel). Cells the holder does not own are read from
+    ``ghosts`` (a shard worker's rim, float dists as they travel).
     """
 
     __slots__ = ("_cells", "_ghosts")
@@ -73,11 +76,11 @@ class LiveDistView:
         self._cells = cells
         self._ghosts = ghosts
 
-    def __getitem__(self, cid: CellId) -> float:
+    def __getitem__(self, cid: CellId) -> int:
         state = self._cells.get(cid)
         if state is None:
-            return self._ghosts[cid]
-        return effective_dist(state)
+            return dist_to_int(self._ghosts[cid])
+        return DIST_SENTINEL if state.failed else dist_to_int(state.dist)
 
 
 class DirtyCells:

@@ -15,20 +15,21 @@ paper's message-passing reading nor its proofs).
 Failed neighbors are observed as ``dist = infinity`` via the effective
 view, so routes around crashes re-form automatically once recomputation
 propagates — Corollary 7's ``O(N^2)`` bound.
+
+Every caller hands :func:`_route_step` the *integer* view of the
+effective dists (:func:`~repro.core.cell.dist_to_int`, failed cells at
+the sentinel). A full sweep converts each cell once per phase
+(:func:`int_dist_snapshot`); holders that evaluate a few cells convert
+on read (:class:`repro.core.dirty.LiveDistView`, the timed engine's
+received adverts).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core.cell import (
-    DIST_SENTINEL,
-    INFINITY,
-    CellState,
-    dist_to_int,
-    effective_dist,
-)
+from repro.core.cell import DIST_SENTINEL, INFINITY, CellState, dist_to_int
 from repro.grid.topology import CellId, Grid
 
 
@@ -45,15 +46,22 @@ class RoutePhaseReport:
         return not self.changed_dist and not self.changed_next
 
 
+def int_dist_snapshot(cells: Dict[CellId, CellState]) -> Dict[CellId, int]:
+    """Every cell's effective dist in the integer embedding, converted
+    once: the pre-phase snapshot a full Route sweep reads."""
+    return {
+        cid: DIST_SENTINEL if state.failed else dist_to_int(state.dist)
+        for cid, state in cells.items()
+    }
+
+
 def route_phase(
     grid: Grid,
     cells: Dict[CellId, CellState],
     tid: CellId,
 ) -> RoutePhaseReport:
     """Apply Route simultaneously to every non-faulty, non-target cell."""
-    snapshot: Dict[CellId, float] = {
-        cid: effective_dist(state) for cid, state in cells.items()
-    }
+    snapshot = int_dist_snapshot(cells)
     report = RoutePhaseReport()
     for cid, state in cells.items():
         if state.failed or cid == tid:
@@ -71,29 +79,25 @@ def route_phase(
 def _route_step(
     grid: Grid,
     cid: CellId,
-    dist_snapshot: Dict[CellId, float],
+    dists: Mapping[CellId, int],
 ) -> Tuple[float, Optional[CellId]]:
-    """One cell's Route computation against a neighbor-dist snapshot.
+    """One cell's Route computation against the neighbors' integer dists.
 
-    The ``(dist, id)`` argmin runs on the integral-with-sentinel
-    embedding (:func:`repro.core.cell.dist_to_int`): dists are exact
-    integers plus one infinity sentinel, so the tie comparison is an
-    integer ``==`` — no accumulated-float equality is ever relied on,
-    and the vectorized engine's integer argmin provably matches.
+    ``dists`` maps each neighbor to its effective dist in the
+    integral-with-sentinel embedding (:func:`repro.core.cell.dist_to_int`),
+    so the ``(dist, id)`` argmin compares integers — no accumulated-float
+    equality is ever relied on, and the vectorized engine's integer
+    argmin provably matches. The neighbors are scanned in ascending
+    identifier order with a strict ``<``, so a tie keeps the smaller
+    identifier.
     """
-    neighbors = grid.neighbors(cid)
     best: Optional[CellId] = None
     best_dist = DIST_SENTINEL
-    for nbr in neighbors:
-        nbr_dist = dist_to_int(dist_snapshot[nbr])
-        if nbr_dist < best_dist or (nbr_dist == best_dist and _prefer(nbr, best)):
+    for nbr in grid.neighbors_by_id(cid):
+        nbr_dist = dists[nbr]
+        if nbr_dist < best_dist:
             best_dist = nbr_dist
             best = nbr
-    if best_dist == DIST_SENTINEL:
+    if best is None:
         return INFINITY, None
     return float(best_dist + 1), best
-
-
-def _prefer(candidate: CellId, incumbent: Optional[CellId]) -> bool:
-    """Tie-break rule of the paper's argmin: smaller identifier wins."""
-    return incumbent is None or candidate < incumbent

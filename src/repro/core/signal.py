@@ -26,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.cell import CellState, effective_next, effective_nonempty
+from repro.core.cell import CellState
 from repro.core.params import Parameters
 from repro.core.policies import RoundRobinTokenPolicy, TokenPolicy
-from repro.geometry.tolerance import tol_ge, tol_le
+from repro.geometry.tolerance import EPS
 from repro.grid.topology import CellId, Direction, Grid, direction_between
 
 
@@ -68,55 +68,54 @@ def gap_clear(
     neighbor* — the edge through which that neighbor's entities would
     enter. For the east edge the condition is
     ``forall p: px + l/2 <= i + 1 - d``; the other edges are symmetric.
+
+    Each member is tested with the exact float expression of
+    :func:`~repro.geometry.tolerance.tol_le` / ``tol_ge``
+    (``a <= b + EPS`` / ``a >= b - EPS``), the tolerant bound
+    ``b ± EPS`` computed once per call. This is the one gap rule of the
+    2-D protocol: every engine, the shard workers, the timed processes,
+    the multi-commodity admission test and predicate H's monitor call it.
     """
-    i, j = state.cell_id
-    half = params.half_l
-    d = params.d
-    if toward is Direction.EAST:
-        return all(tol_le(e.x + half, i + 1 - d) for e in state.members.values())
-    if toward is Direction.WEST:
-        return all(tol_ge(e.x - half, i + d) for e in state.members.values())
-    if toward is Direction.NORTH:
-        return all(tol_le(e.y + half, j + 1 - d) for e in state.members.values())
-    return all(tol_ge(e.y - half, j + d) for e in state.members.values())
-
-
-def gap_clear_extents(
-    state: CellState, toward: Direction, params: Parameters
-) -> bool:
-    """:func:`gap_clear` computed from the windowed member extents.
-
-    ``all(tol_le(x_k + l/2, bound))`` is equivalent to
-    ``tol_le(max(x_k) + l/2, bound)``: IEEE addition is monotone, so
-    ``max(x_k) + l/2 == max(x_k + l/2)`` exactly, and ``tol_le`` is
-    monotone in its first argument. One comparison per edge instead of
-    one per member — the form the vectorized engine uses, kept here next
-    to the per-member original so the equivalence is testable
-    (``tests/test_engine_vectorized.py``).
-    """
-    if not state.members:
-        return True
     i, j = state.cell_id
     half = params.half_l
     d = params.d
     members = state.members.values()
     if toward is Direction.EAST:
-        return tol_le(max(e.x for e in members) + half, i + 1 - d)
-    if toward is Direction.WEST:
-        return tol_ge(min(e.x for e in members) - half, i + d)
-    if toward is Direction.NORTH:
-        return tol_le(max(e.y for e in members) + half, j + 1 - d)
-    return tol_ge(min(e.y for e in members) - half, j + d)
+        bound = i + 1 - d + EPS
+        for e in members:
+            if not (e.x + half <= bound):
+                return False
+    elif toward is Direction.WEST:
+        bound = i + d - EPS
+        for e in members:
+            if not (e.x - half >= bound):
+                return False
+    elif toward is Direction.NORTH:
+        bound = j + 1 - d + EPS
+        for e in members:
+            if not (e.y + half <= bound):
+                return False
+    else:
+        bound = j + d - EPS
+        for e in members:
+            if not (e.y - half >= bound):
+                return False
+    return True
 
 
 def compute_ne_prev(
     grid: Grid, cells: Dict[CellId, CellState], cid: CellId
 ) -> Set[CellId]:
-    """``NEPrev``: nonempty, non-faulty neighbors routing through ``cid``."""
+    """``NEPrev``: nonempty, non-faulty neighbors routing through ``cid``.
+
+    Reads the neighbors' fields directly: a failed neighbor is masked
+    (:func:`~repro.core.cell.effective_next` / ``effective_nonempty``
+    read it as ``next = bot``, empty), so it never appears.
+    """
     result: Set[CellId] = set()
-    for nbr in grid.neighbors(cid):
+    for nbr in grid.neighbors_by_id(cid):
         nbr_state = cells[nbr]
-        if effective_next(nbr_state) == cid and effective_nonempty(nbr_state):
+        if nbr_state.next_id == cid and nbr_state.members and not nbr_state.failed:
             result.add(nbr)
     return result
 
@@ -161,14 +160,22 @@ def _signal_step(
 ) -> None:
     """One cell's Signal computation.
 
-    ``gap`` selects the gap predicate implementation — the per-member
-    :func:`gap_clear` (default, resolved at call time so tests can
-    monkeypatch the module attribute) or the windowed
-    :func:`gap_clear_extents`; both return identical verdicts.
+    ``gap`` is the grant predicate; by default :func:`gap_clear`,
+    resolved at call time so tests can monkeypatch the module
+    attribute. A system with extra admission conjuncts (the
+    multi-commodity residency rule) passes its own, which ends in
+    :func:`gap_clear`.
     """
+    state.ne_prev = ne_prev
+    if not ne_prev:
+        # Nobody to grant. The token policy is not consulted: its
+        # ``initial`` of an empty NEPrev is bottom and draws no
+        # randomness (the token-policy contract of repro.sim.engine).
+        state.token = None
+        state.signal = None
+        return
     if gap is None:
         gap = gap_clear
-    state.ne_prev = ne_prev
     # Clarified corner (see DESIGN.md): a token whose holder left NEPrev
     # (drained, re-routed or failed) is dropped before the initial choose,
     # otherwise it could dangle forever and starve live neighbors.
@@ -177,7 +184,6 @@ def _signal_step(
     if state.token is None:
         state.token = policy.initial(ne_prev)
     if state.token is None:
-        # NEPrev empty: nobody to grant.
         state.signal = None
         return
     toward = direction_between(state.cell_id, state.token)

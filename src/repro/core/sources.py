@@ -90,8 +90,7 @@ class SourcePolicy:
         if state.next_id is None:
             return None
         candidate = entry_wall_center(state, params)
-        centers = [e.center for e in state.members.values()]
-        if fits_among(candidate, centers, params.d):
+        if fits_among(candidate, state.members.values(), params.d):
             return candidate
         return None
 

@@ -12,7 +12,7 @@ predicate and a few aggregates used by monitors and the source policy.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.geometry.point import Point
 from repro.geometry.tolerance import EPS, tol_ge
@@ -32,20 +32,21 @@ def min_axis_separation(p: Point, q: Point) -> float:
     return max(abs(p.x - q.x), abs(p.y - q.y))
 
 
-def pairwise_axis_separated(
-    centers: Sequence[Point], d: float, eps: float = EPS
-) -> bool:
+def pairwise_axis_separated(centers: Iterable[Point], d: float) -> bool:
     """True when every distinct pair in ``centers`` is axis-separated by ``d``.
 
-    Quadratic in the number of entities, which is fine: a unit cell can hold
-    at most ``(1 // d + 1) ** 2`` entities, a small constant for the paper's
-    parameter ranges.
+    ``centers`` may be points or entities (as for :func:`fits_among`), in
+    any order: each one must fit among those before it, so every pair
+    meets :func:`axis_separated`'s expression once (``|a - b|`` is the
+    same float either way round). Quadratic in the number of entities,
+    which is fine: a unit cell can hold at most ``(1 // d + 1) ** 2``
+    entities, a small constant for the paper's parameter ranges.
     """
-    n = len(centers)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not axis_separated(centers[a], centers[b], d, eps):
-                return False
+    seen: List[Point] = []
+    for center in centers:
+        if not fits_among(center, seen, d):
+            return False
+        seen.append(center)
     return True
 
 
@@ -60,10 +61,20 @@ def separation_violations(
                 yield a, b, min_axis_separation(centers[a], centers[b])
 
 
-def fits_among(candidate: Point, centers: Iterable[Point], d: float) -> bool:
+def fits_among(candidate: Point, members: Iterable[Point], d: float) -> bool:
     """True when placing an entity at ``candidate`` keeps all pairs separated.
 
     Used by source cells to decide whether an insertion would violate the
     minimum gap requirement (the paper's source specification).
+    ``members`` may be points or entities (anything with ``x`` and ``y``;
+    an entity holds its center there), so a source passes its cell's
+    members as they are. Each pair is :func:`axis_separated`'s exact
+    expression, ``|dx| >= d - EPS or |dy| >= d - EPS``, with ``d - EPS``
+    computed once.
     """
-    return all(axis_separated(candidate, other, d) for other in centers)
+    x, y = candidate.x, candidate.y
+    bound = d - EPS
+    for other in members:
+        if not (abs(x - other.x) >= bound or abs(y - other.y) >= bound):
+            return False
+    return True

@@ -89,9 +89,10 @@ class Grid:
     ``Grid(n)`` builds the paper's ``n x n`` instance. Identifiers range
     over ``[0, width) x [0, height)``.
 
-    Each instance memoizes its neighbor lists (:meth:`neighbors`), so the
-    table lives and dies with the grid; it is not a field, so equality,
-    hashing, ``repr`` and pickling see only the dimensions.
+    Each instance memoizes its neighbor lists (:meth:`neighbors`,
+    :meth:`neighbors_by_id`), so the tables live and die with the grid;
+    they are not fields, so equality, hashing, ``repr`` and pickling see
+    only the dimensions.
     """
 
     width: int
@@ -105,9 +106,10 @@ class Grid:
                 f"grid dimensions must be positive, got {self.width}x{self.height}"
             )
         object.__setattr__(self, "_neighbor_table", {})
+        object.__setattr__(self, "_by_id_table", {})
 
     def __reduce__(self):
-        # Rebuild from the dimensions: the memo table is not pickled.
+        # Rebuild from the dimensions: the memo tables are not pickled.
         return (type(self), (self.width, self.height))
 
     @property
@@ -151,6 +153,19 @@ class Grid:
                 if self.contains(moved := direction.step(cell))
             )
         return list(found)
+
+    def neighbors_by_id(self, cell: CellId) -> Tuple[CellId, ...]:
+        """The in-grid neighbors of ``cell`` in ascending identifier
+        order (WEST, SOUTH, NORTH, EAST), as one shared tuple per cell.
+
+        The per-cell kernels read this: a scan with a strict ``<`` over
+        it keeps the first, smallest-identifier candidate of a tie.
+        """
+        table = self._by_id_table  # type: ignore[attr-defined]
+        found = table.get(cell)
+        if found is None:
+            found = table[cell] = tuple(sorted(self.neighbors(cell)))
+        return found
 
     def are_neighbors(self, a: CellId, b: CellId) -> bool:
         """True when both cells are in the grid and L1-adjacent."""

@@ -22,7 +22,7 @@ from repro.core.entity import Entity
 from repro.core.params import Parameters
 from repro.core.signal import gap_clear
 from repro.core.system import System
-from repro.geometry.tolerance import tol_ge, tol_le
+from repro.geometry.tolerance import EPS, tol_ge, tol_le
 from repro.grid.topology import CellId, direction_between
 
 
@@ -62,11 +62,36 @@ def cell_containment_violations(
             yield ContainmentViolation(cell=cid, uid=entity.uid, x=entity.x, y=entity.y)
 
 
+def members_contained(
+    cid: CellId, members: Iterable[Entity], half_l: float
+) -> bool:
+    """Invariant 1 as a verdict: every member of cell ``cid`` lies inside
+    it.
+
+    Each coordinate is tested with :func:`cell_containment_violations`'
+    exact expressions, the four tolerant bounds (``b - EPS`` for a
+    ``tol_ge``, ``b + EPS`` for a ``tol_le``) computed once per cell, so
+    this is true exactly when that generator yields nothing. The
+    monitors run it on every occupied cell and sort the members only to
+    report.
+    """
+    i, j = cid
+    x_lo = i + half_l - EPS
+    x_hi = i + 1 - half_l + EPS
+    y_lo = j + half_l - EPS
+    y_hi = j + 1 - half_l + EPS
+    for entity in members:
+        if not (x_lo <= entity.x <= x_hi and y_lo <= entity.y <= y_hi):
+            return False
+    return True
+
+
 def containment_violations(system: System) -> Iterator[ContainmentViolation]:
     """Invariant 1 violations in the current state."""
     half = system.params.half_l
     for cid, state in system.cells.items():
-        if state.members:
+        members = state.members
+        if members and not members_contained(cid, members.values(), half):
             yield from cell_containment_violations(cid, state.entities(), half)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.system import RoundReport, System
+from repro.geometry.separation import pairwise_axis_separated
 from repro.grid.topology import CellId
 from repro.monitors.invariants import (
     ContainmentViolation,
@@ -21,6 +22,7 @@ from repro.monitors.invariants import (
     cell_containment_violations,
     cell_signal_gap_violation,
     is_two_cycle_head,
+    members_contained,
     note_members,
 )
 from repro.monitors.safety import SafetyViolation, cell_safety_violations
@@ -116,9 +118,13 @@ class MonitorSuite:
         """Run the post-state checks for the round just completed.
 
         Safe, Invariant 1 and Invariant 2 share one pass over every cell
-        (an empty cell cannot violate any of them). Their violations are
-        then recorded property by property: all Safe, then Invariant 1,
-        then Invariant 2, then Lemma 4.
+        (an empty cell cannot violate any of them). Safe and Invariant 1
+        test an occupied cell's members as they stand
+        (``pairwise_axis_separated``, ``members_contained``); only a
+        cell that fails is sorted (``entities()``) to report its
+        violations in uid order. Those are then recorded property by
+        property: all Safe, then Invariant 1, then Invariant 2, then
+        Lemma 4.
         """
         rnd = report.round_index
         check_safety = self.check_safety
@@ -137,14 +143,18 @@ class MonitorSuite:
                     continue
                 if check_inv2:
                     note_members(cid, members, seen, duplicated)
-                if check_safety or check_inv1:
-                    entities = state.entities()
-                    if check_safety and len(entities) > 1:
-                        unsafe.extend(cell_safety_violations(cid, entities, d))
-                    if check_inv1:
-                        outside.extend(
-                            cell_containment_violations(cid, entities, half_l)
-                        )
+                if (
+                    check_safety
+                    and len(members) > 1
+                    and not pairwise_axis_separated(members.values(), d)
+                ):
+                    unsafe.extend(cell_safety_violations(cid, state.entities(), d))
+                if check_inv1 and not members_contained(
+                    cid, members.values(), half_l
+                ):
+                    outside.extend(
+                        cell_containment_violations(cid, state.entities(), half_l)
+                    )
         for violation in unsafe:
             self._record(rnd, "Safe (Theorem 5)", str(violation))
         for violation in outside:

@@ -15,7 +15,11 @@ from typing import Iterator, List
 from repro.core.cell import CellState
 from repro.core.entity import Entity
 from repro.core.system import System
-from repro.geometry.separation import axis_separated, min_axis_separation
+from repro.geometry.separation import (
+    axis_separated,
+    min_axis_separation,
+    pairwise_axis_separated,
+)
 from repro.grid.topology import CellId
 
 
@@ -61,15 +65,15 @@ def cell_safety_violations(
 
 def safe_cell(state: CellState, d: float) -> bool:
     """``Safe_{i,j}(x)``: all member pairs axis-separated by ``d``."""
-    violations = cell_safety_violations(state.cell_id, state.entities(), d)
-    return next(violations, None) is None
+    return pairwise_axis_separated(state.members.values(), d)
 
 
 def safety_violations(system: System) -> Iterator[SafetyViolation]:
     """Yield every violating pair in the current state."""
     d = system.params.d
     for cid, state in system.cells.items():
-        if len(state.members) > 1:
+        members = state.members
+        if len(members) > 1 and not pairwise_axis_separated(members.values(), d):
             yield from cell_safety_violations(cid, state.entities(), d)
 
 

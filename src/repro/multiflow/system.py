@@ -253,23 +253,18 @@ class MultiCommoditySystem:
         ``System.route_cells``). A cell is reported once when any of its
         commodities' dist (next) changed."""
         cells = self.cells
-
-        def live(name: str) -> Callable[[CellId], float]:
-            return lambda n: INFINITY if cells[n].failed else cells[n].dists[name]
-
         commodities = [
-            (index, c.name, c.target, live(c.name))
-            for index, c in enumerate(self.table)
+            (index, c.name, c.target) for index, c in enumerate(self.table)
         ]
         updates = []
         for cid in cids:
             cell = cells[cid]
             if cell.failed:
                 continue
-            for index, name, target, dist_of in commodities:
+            for index, name, target in commodities:
                 if cid == target:
                     continue
-                new_dist, new_next = self._route_step(index, cid, dist_of)
+                new_dist, new_next = self._route_step(index, cid, name)
                 if new_dist != cell.dists[name] or new_next != cell.nexts[name]:
                     updates.append((cell, name, new_dist, new_next))
         changed_dist: Dict[CellId, None] = {}
@@ -286,22 +281,31 @@ class MultiCommoditySystem:
         )
 
     def _route_step(
-        self,
-        commodity_index: int,
-        cid: CellId,
-        dist_of: Callable[[CellId], float],
+        self, commodity_index: int, cid: CellId, name: str
     ) -> Tuple[float, Optional[CellId]]:
-        """One relaxation with the ``(dist, commodity, cell)`` tie-break.
+        """One relaxation of commodity ``name`` (at ``commodity_index``
+        in the table) with the ``(dist, commodity, cell)`` tie-break.
 
-        Distances use the exact integral embedding (``dist_to_int``) so
+        Reads each neighbor's ``failed`` flag and ``dists[name]``
+        directly, in ascending identifier order, converting the dist to
+        the exact integral embedding (``dist_to_int``) as it is read, so
         the minimum and the tie set are computed without float ``==``.
         """
-        neighbors = sorted(self.grid.neighbors(cid))
-        ints = [dist_to_int(dist_of(n)) for n in neighbors]
-        best = min(ints)
-        if best >= DIST_SENTINEL:
+        cells = self.cells
+        best = DIST_SENTINEL
+        ties: List[CellId] = []
+        for nbr in self.grid.neighbors_by_id(cid):
+            state = cells[nbr]
+            if state.failed:
+                continue
+            dist = dist_to_int(state.dists[name])
+            if dist < best:
+                best = dist
+                ties = [nbr]
+            elif dist == best:
+                ties.append(nbr)
+        if best == DIST_SENTINEL:
             return INFINITY, None
-        ties = [n for n, d in zip(neighbors, ints) if d == best]
         i, j = cid
         pick = ties[(commodity_index + i + j) % len(ties)]
         return dist_from_int(best) + 1.0, pick
@@ -400,8 +404,7 @@ class MultiCommoditySystem:
                 if nxt is None:
                     continue
                 candidate = entry_wall_center(cell, self.params, nxt)
-                centers = [e.center for e in cell.members.values()]
-                if not fits_among(candidate, centers, self.params.d):
+                if not fits_among(candidate, cell.members.values(), self.params.d):
                     continue
                 entity = Entity(
                     uid=self._next_uid,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.core.cell import INFINITY, CellState
+from repro.core.cell import DIST_SENTINEL, INFINITY, CellState, dist_to_int
 from repro.core.entity import Entity
 from repro.core.move import crossed_boundary
 from repro.core.params import Parameters
@@ -91,12 +91,15 @@ class CellProcess:
         if self.failed or is_target:
             return
         cid = self.cell_id
-        # Missing adverts read as infinity — silence is failure.
-        dists: Dict[CellId, float] = {
-            nbr: INFINITY for nbr in self.grid.neighbors(cid)
-        }
+        # Missing adverts read as infinity — silence is failure. Each
+        # received dist is converted to the integer view as it is read.
+        dists: Dict[CellId, int] = dict.fromkeys(
+            self.grid.neighbors_by_id(cid), DIST_SENTINEL
+        )
         for message in inbox:
-            dists[message.src] = INFINITY if message.dist is None else message.dist
+            dists[message.src] = (
+                DIST_SENTINEL if message.dist is None else dist_to_int(message.dist)
+            )
         new_dist, new_next = _route_step(self.grid, cid, dists)
         if report is None:
             report = RoutePhaseReport()

@@ -66,7 +66,7 @@ import repro
 from repro.core.cell import effective_dist, effective_next, effective_nonempty
 from repro.core.dirty import row_major as _row_major
 from repro.core.move import MovePhaseReport, movers_from_grants
-from repro.core.route import RoutePhaseReport
+from repro.core.route import RoutePhaseReport, int_dist_snapshot
 from repro.core.signal import SignalPhaseReport
 from repro.core.system import RoundReport, System, run_round
 from repro.grid.topology import CellId, direction_between
@@ -234,7 +234,7 @@ class ShardCoordinator:
         # Nothing is applied until every district has answered, so the
         # live state is still pre-round here; the fallback snapshots it
         # only when some district needs one.
-        dist_view: Optional[Dict[CellId, float]] = None
+        dist_view: Optional[Dict[CellId, int]] = None
         for handle in self._handles:
             wire = results.get(handle.shard_id)
             if wire is not None:
@@ -246,9 +246,7 @@ class ShardCoordinator:
             handle.pending_events = []
             handle.pending_member_sync = set()
             if dist_view is None:
-                dist_view = {
-                    cid: effective_dist(state) for cid, state in cells.items()
-                }
+                dist_view = int_dist_snapshot(cells)
             merged.extend(
                 compute_route_updates(
                     system.grid, cells, system.tid, handle.district, dist_view

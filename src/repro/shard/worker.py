@@ -94,7 +94,8 @@ def compute_route_updates(
     pre-round dists.
 
     ``dist_view`` must map every listed cell's neighbors to the
-    pre-round effective dist (``__getitem__`` protocol). Returns
+    pre-round effective dist in the integer embedding
+    (``__getitem__`` protocol; see ``_route_step``). Returns
     ``(cid, dist_int, next)`` for every evaluated cell, in the order
     given; application is a separate step so the snapshot semantics of
     the reference's Jacobi sweep are preserved.

@@ -13,8 +13,9 @@ per-cell Python sweeps:
   the rest is byte-exact by the same invariant the incremental engine
   proves — a skipped cell holds ``(NEPrev, token, signal) = (empty, bot,
   bot)`` and its fresh evaluation would be a no-op consuming no policy
-  randomness. The gap predicate runs in the windowed extents form
-  (:func:`~repro.core.signal.gap_clear_extents`).
+  randomness. Each active cell runs the shared per-cell Signal step
+  (:func:`~repro.core.signal._signal_step`) with the one gap rule,
+  :func:`~repro.core.signal.gap_clear`.
 * **Move** derives movers from the round's grant report, exactly like
   the incremental engine.
 
@@ -44,7 +45,7 @@ from repro.core.arrays import (
 from repro.core.cell import dist_from_int
 from repro.core.move import MovePhaseReport, movers_from_grants
 from repro.core.route import RoutePhaseReport
-from repro.core.signal import SignalPhaseReport, _signal_step, gap_clear_extents
+from repro.core.signal import SignalPhaseReport, _signal_step
 from repro.core.system import System
 from repro.grid.topology import CellId
 from repro.sim.engine import RoundEngine
@@ -171,9 +172,7 @@ class VectorizedEngine(RoundEngine):
             if east[k]:
                 ne_prev.add(cell_ids[k + 1])
             state = states[k]
-            _signal_step(
-                state, ne_prev, params, policy, report, gap=gap_clear_extents
-            )
+            _signal_step(state, ne_prev, params, policy, report)
             arrays.token[k] = arrays.ref(state.token)
             arrays.signal[k] = arrays.ref(state.signal)
         return report

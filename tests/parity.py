@@ -13,7 +13,8 @@ source trees can be compared round by round:
   turning path, and four churned 6x6 open grids under advert loss;
 * the ``reference`` and ``incremental`` engines, each on its own, with
   the state digest and a digest of the canonical round report every
-  round: ``random_multiflow_config`` seeds 0-39 with and without
+  round, and a digest of the monitor violations (round, property and
+  detail, in order) at the end: ``random_multiflow_config`` seeds 0-39 with and without
   faults, ``benchmarks/bench_multiflow.py``'s three crossings, the
   multi-commodity corpus scenarios, and ``random_config`` seeds 0-25;
 * the two baselines, which no lockstep compares to anything:
@@ -229,12 +230,23 @@ def _digested_run(sim: Simulator, rounds: int, relocations=None) -> Dict:
         parts = repr(canonical_report(report)).encode()
         reports.append(hashlib.sha256(parts).hexdigest()[:16])
     sim.engine.close()
+    violations = sim.monitors.violations if sim.monitors else []
     return {
         "states": states,
         "reports": reports,
         "consumed": sim.system.total_consumed,
-        "violations": len(sim.monitors.violations) if sim.monitors else 0,
+        "violations": len(violations),
+        "violation_digest": _violation_digest(violations),
     }
+
+
+def _violation_digest(violations) -> str:
+    """Digest of the monitor violations in the order they were recorded:
+    each one's round, property and detail text."""
+    digest = hashlib.sha256()
+    for v in violations:
+        digest.update(repr((v.round_index, v.property_name, v.detail)).encode())
+    return digest.hexdigest()[:16]
 
 
 def _engine_run(config: SimulationConfig, engine: str, relocations=None) -> Dict:

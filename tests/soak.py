@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 from repro.core.params import Parameters
 from repro.serve import (
@@ -137,15 +139,23 @@ def main(argv=None) -> int:
         f"# soak: {args.rounds} rounds, sharded@{args.shards}, "
         f"seed {args.seed}"
     )
-    import tempfile
-    from pathlib import Path
-
     if args.sqlite_out:
         db_path = Path(args.sqlite_out)
         db_path.parent.mkdir(parents=True, exist_ok=True)
+        soak(args, db_path, report)
     else:
-        db_path = Path(tempfile.mkdtemp(prefix="soak-")) / "events.db"
+        # The cross-sink check needs the store only while the soak runs.
+        with tempfile.TemporaryDirectory(prefix="soak-") as scratch:
+            soak(args, Path(scratch) / "events.db", report)
 
+    print(f"# soak {'PASSED' if failures == 0 else f'FAILED ({failures})'}")
+    return 0 if failures == 0 else 1
+
+
+def soak(args, db_path: Path, report) -> None:
+    """The probed campaign into a sqlite store at ``db_path``, then
+    (unless skipped) the two determinism replicas; each check's verdict
+    goes to ``report(name, ok, detail)``."""
     probe = MemoryProbe()
     started = time.monotonic()
     # The probed run streams to disk: an in-process record sink would
@@ -199,9 +209,6 @@ def main(argv=None) -> int:
             sqlite_text == replica_a.to_jsonl(),
             f"sqlite ({db_path}) vs memory",
         )
-
-    print(f"# soak {'PASSED' if failures == 0 else f'FAILED ({failures})'}")
-    return 0 if failures == 0 else 1
 
 
 if __name__ == "__main__":

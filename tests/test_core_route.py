@@ -86,7 +86,7 @@ class TestTieBreak:
         """All four neighbors equidistant: the argmin must pick the WEST
         neighbor — the smallest identifier in (i, j) tuple order."""
         grid = Grid(3)
-        snapshot = {cid: 5.0 for cid in grid.cells()}
+        snapshot = {cid: 5 for cid in grid.cells()}
         new_dist, new_next = _route_step(grid, (1, 1), snapshot)
         assert new_dist == 6.0
         assert new_next == (0, 1)  # WEST < SOUTH (1,0) < NORTH (1,2) < EAST
@@ -113,15 +113,15 @@ class TestTieBreak:
 
     def test_partial_tie_prefers_smaller_id(self):
         grid = Grid(3)
-        snapshot = {cid: INFINITY for cid in grid.cells()}
-        snapshot[(1, 0)] = 2.0  # SOUTH of (1,1)
-        snapshot[(1, 2)] = 2.0  # NORTH of (1,1)
+        snapshot = {cid: DIST_SENTINEL for cid in grid.cells()}
+        snapshot[(1, 0)] = 2  # SOUTH of (1,1)
+        snapshot[(1, 2)] = 2  # NORTH of (1,1)
         new_dist, new_next = _route_step(grid, (1, 1), snapshot)
         assert (new_dist, new_next) == (3.0, (1, 0))
 
     def test_all_infinite_yields_bottom(self):
         grid = Grid(3)
-        snapshot = {cid: INFINITY for cid in grid.cells()}
+        snapshot = {cid: DIST_SENTINEL for cid in grid.cells()}
         assert _route_step(grid, (1, 1), snapshot) == (INFINITY, None)
 
     def test_results_are_exact_integral_floats(self):

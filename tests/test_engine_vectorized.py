@@ -10,9 +10,10 @@ verdicts, same metrics, byte-identical traces.
 The array-core units then pin the vectorized kernels against the scalar
 originals property-by-property (hypothesis): :func:`route_relax` against
 ``_route_step`` on random dist lattices with random failure masks, and
-the windowed :func:`gap_clear_extents` against the per-member
-:func:`gap_clear` on random member sets. A wrong-sentinel mutant proves
-the harness catches the representation bug class this engine could
+the ``NEPrev`` masks against ``compute_ne_prev``. The engine's Signal
+runs the one scalar gap rule, ``gap_clear``, whose boundary behaviour
+``tests/test_kernels.py`` pins. A wrong-sentinel mutant proves the
+harness catches the representation bug class this engine could
 plausibly introduce.
 
 Everything here requires numpy (the package's one soft dependency); the
@@ -41,14 +42,11 @@ from repro.core.arrays import (
     ne_prev_masks,
     route_relax,
 )
-from repro.core.cell import DIST_SENTINEL, INFINITY, dist_from_int
-from repro.core.entity import Entity
-from repro.core.params import Parameters
+from repro.core.cell import DIST_SENTINEL, dist_from_int
 from repro.core.route import _route_step
-from repro.core.signal import gap_clear, gap_clear_extents
 from repro.core.system import System
 from repro.fuzz.generator import Scenario
-from repro.grid.topology import Direction, Grid
+from repro.grid.topology import Grid
 from repro.obs.instrument import ObservabilityConfig
 from repro.sim import engine as engine_module
 from repro.sim.engine import VectorizedEngine, make_engine
@@ -272,11 +270,7 @@ def test_route_relax_matches_route_step(lattice):
     new_dist, new_next = route_relax(arrays)
 
     snapshot = {
-        cid: (
-            INFINITY
-            if failed[arrays.flat(cid)]
-            else dist_from_int(dists[arrays.flat(cid)])
-        )
+        cid: DIST_SENTINEL if failed[arrays.flat(cid)] else dists[arrays.flat(cid)]
         for cid in grid.cells()
     }
     for cid in grid.cells():
@@ -313,35 +307,6 @@ def test_ne_prev_masks_match_scalar_compute():
         if east[k]:
             from_masks.add(arrays.cell(k + 1))
         assert from_masks == compute_ne_prev(system.grid, system.cells, cid), cid
-
-
-@given(
-    xs=st.lists(
-        st.floats(min_value=0.1, max_value=0.9, allow_nan=False),
-        min_size=0,
-        max_size=6,
-    ),
-    ys=st.lists(
-        st.floats(min_value=0.1, max_value=0.9, allow_nan=False),
-        min_size=0,
-        max_size=6,
-    ),
-    toward=st.sampled_from(list(Direction)),
-    rs=st.sampled_from([0.03, 0.05, 0.08]),
-)
-@SEEDED
-def test_gap_clear_extents_equals_gap_clear(xs, ys, toward, rs):
-    """The windowed min/max form returns the per-member form's verdict
-    for every member set, direction, and parameterization."""
-    params = Parameters(l=0.25, rs=rs, v=0.2)
-    from repro.core.cell import CellState
-
-    state = CellState(cell_id=(0, 0))
-    for uid, (x, y) in enumerate(zip(xs, ys)):
-        state.members[uid] = Entity(uid=uid, x=x, y=y, birth_round=0)
-    assert gap_clear_extents(state, toward, params) == gap_clear(
-        state, toward, params
-    )
 
 
 # ----------------------------------------------------------------------

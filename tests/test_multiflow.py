@@ -228,12 +228,12 @@ class TestSystem:
         tie-break)."""
         system = self.make_system(n=3)
         tied = {(0, 1): 1.0, (1, 0): 1.0}
-
-        def dist_of(cid):
-            return tied.get(cid, float("inf"))
+        name = system.table.names()[0]
+        for cid, cell in system.cells.items():
+            cell.dists[name] = tied.get(cid, float("inf"))
 
         picks = {
-            k: system._route_step(k, (1, 1), dist_of)[1] for k in (0, 1)
+            k: system._route_step(k, (1, 1), name)[1] for k in (0, 1)
         }
         assert set(picks.values()) == {(0, 1), (1, 0)}
         for _, pick in picks.items():

@@ -787,6 +787,18 @@ class TestOracles:
         ]
         assert all(v.ok for v in verdicts)
 
+    def test_soak_removes_its_temporary_store(self, tmp_path, monkeypatch, capsys):
+        """Without ``--sqlite-out`` the soak's sqlite store lives in a
+        temporary directory that the soak removes when it ends."""
+        import tempfile
+
+        from tests import soak
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert soak.main(["--rounds", "40", "--skip-determinism"]) == 0
+        assert "soak PASSED" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
 
 # ---------------------------------------------------------------------------
 # Bounded meters (the bounded-memory substrate)
