@@ -26,7 +26,7 @@ from typing import Optional
 
 from repro.core.cell import INFINITY
 from repro.core.move import MovePhaseReport, move_phase
-from repro.core.route import RoutePhaseReport
+from repro.core.route import RoutePhaseReport, write_route
 from repro.core.signal import SignalPhaseReport, signal_phase
 from repro.core.system import RoundReport, System, run_round
 
@@ -48,6 +48,11 @@ class CoordinatorSpec:
 
 class CentralizedSystem(System):
     """A ``System`` routed by a periodic central coordinator."""
+
+    #: Only the reference engine calls ``update``; the others drive the
+    #: one-phase methods, which run the paper's protocol.
+    engines = ("reference",)
+    kind = "the centralized baseline"
 
     def __init__(self, *args, coordinator: Optional[CoordinatorSpec] = None, **kwargs):
         super().__init__(*args, **kwargs)
@@ -93,12 +98,7 @@ class CentralizedSystem(System):
                     ),
                     default=None,
                 )
-            if new_dist != state.dist:
-                report.changed_dist.append(cid)
-                state.dist = new_dist
-            if new_next != state.next_id:
-                report.changed_next.append(cid)
-                state.next_id = new_next
+            write_route(state, new_dist, new_next, report)
         return report
 
     def update(self) -> RoundReport:

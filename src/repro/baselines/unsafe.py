@@ -49,6 +49,11 @@ def greedy_move_phase(
 class UnsafeSystem(System):
     """A ``System`` whose update skips Signal and moves greedily."""
 
+    #: Only the reference engine calls ``update``; the others drive the
+    #: one-phase methods, which run the paper's protocol.
+    engines = ("reference",)
+    kind = "the greedy baseline"
+
     def update(self) -> RoundReport:
         return run_round(
             self,

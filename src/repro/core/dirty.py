@@ -13,8 +13,9 @@ the single definition of the rules that fill them. Two holders use it:
   Route set covers every commodity);
 * a shard worker (:class:`repro.shard.worker.DistrictWorker`) owns one
   district. A rule fired for any cell marks only the owned neighbors;
-  changes outside the district reach the worker as changed rim ghosts,
-  which it feeds into the same rules.
+  changes outside the district reach the worker as rim cells whose
+  refreshed values differ from the last round's, which it feeds into
+  the same rules.
 
 ========  ==========================================================
 Route     re-evaluate a cell next round iff a neighbor's effective
@@ -37,7 +38,7 @@ process stays lean.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.cell import DIST_SENTINEL, CellState, dist_to_int
 from repro.grid.topology import CellId, Grid
@@ -59,27 +60,21 @@ class LiveDistView:
     embedding, for ``_route_step``.
 
     A holder evaluates its dirty cells first and writes all results
-    afterwards, so reading the live state through this view *is* the
-    pre-phase snapshot — without the O(cells) copy. Each read converts
-    one dist (:func:`~repro.core.cell.dist_to_int`; failed cells read
-    as the sentinel). Cells the holder does not own are read from
-    ``ghosts`` (a shard worker's rim, float dists as they travel).
+    afterwards (:func:`~repro.core.route.route_cells`), so reading the
+    live state through this view *is* the pre-phase snapshot — without
+    the O(cells) copy. Each read converts one dist
+    (:func:`~repro.core.cell.dist_to_int`; failed cells read as the
+    sentinel). A shard worker's rim cells are cells too, so it reads
+    them the same way.
     """
 
-    __slots__ = ("_cells", "_ghosts")
+    __slots__ = ("_cells",)
 
-    def __init__(
-        self,
-        cells: Dict[CellId, CellState],
-        ghosts: Optional[Mapping[CellId, float]] = None,
-    ):
+    def __init__(self, cells: Mapping[CellId, CellState]):
         self._cells = cells
-        self._ghosts = ghosts
 
     def __getitem__(self, cid: CellId) -> int:
-        state = self._cells.get(cid)
-        if state is None:
-            return dist_to_int(self._ghosts[cid])
+        state = self._cells[cid]
         return DIST_SENTINEL if state.failed else dist_to_int(state.dist)
 
 

@@ -16,18 +16,23 @@ Failed neighbors are observed as ``dist = infinity`` via the effective
 view, so routes around crashes re-form automatically once recomputation
 propagates — Corollary 7's ``O(N^2)`` bound.
 
-Every caller hands :func:`_route_step` the *integer* view of the
+:func:`route_cells` is the one loop around the per-cell step: the full
+sweep (:func:`route_phase`), ``System.route_cells`` (the incremental
+engine and the shard coordinator's fallback) and the shard workers run
+it. Every caller hands :func:`_route_step` the *integer* view of the
 effective dists (:func:`~repro.core.cell.dist_to_int`, failed cells at
 the sentinel). A full sweep converts each cell once per phase
 (:func:`int_dist_snapshot`); holders that evaluate a few cells convert
 on read (:class:`repro.core.dirty.LiveDistView`, the timed engine's
-received adverts).
+received adverts). The loop, the shard coordinator's merge of worker
+replies, the timed engine's processes and the centralized baseline
+record each changed field through :func:`write_route`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.cell import DIST_SENTINEL, INFINITY, CellState, dist_to_int
 from repro.grid.topology import CellId, Grid
@@ -61,19 +66,52 @@ def route_phase(
     tid: CellId,
 ) -> RoutePhaseReport:
     """Apply Route simultaneously to every non-faulty, non-target cell."""
-    snapshot = int_dist_snapshot(cells)
-    report = RoutePhaseReport()
-    for cid, state in cells.items():
+    return route_cells(grid, cells, tid, cells, int_dist_snapshot(cells))
+
+
+def route_cells(
+    grid: Grid,
+    cells: Mapping[CellId, CellState],
+    tid: CellId,
+    cids: Iterable[CellId],
+    dists: Mapping[CellId, int],
+) -> RoutePhaseReport:
+    """Route at the non-faulty, non-target cells among ``cids``.
+
+    Computes every listed cell's result before writing any, so the
+    cells read each other's pre-phase dists (the Jacobi step); the
+    report lists the changes in the order of ``cids``. ``dists`` maps
+    every neighbor of a listed cell to its effective dist in the
+    integer embedding (see :func:`_route_step`); ``cells`` may hold
+    cells the loop never evaluates (a shard worker's rim).
+    """
+    updates = []
+    for cid in cids:
+        state = cells[cid]
         if state.failed or cid == tid:
             continue
-        new_dist, new_next = _route_step(grid, cid, snapshot)
-        if new_dist != state.dist:
-            report.changed_dist.append(cid)
-            state.dist = new_dist
-        if new_next != state.next_id:
-            report.changed_next.append(cid)
-            state.next_id = new_next
+        new_dist, new_next = _route_step(grid, cid, dists)
+        if new_dist != state.dist or new_next != state.next_id:
+            updates.append((state, new_dist, new_next))
+    report = RoutePhaseReport()
+    for state, new_dist, new_next in updates:
+        write_route(state, new_dist, new_next, report)
     return report
+
+
+def write_route(
+    state: CellState,
+    new_dist: float,
+    new_next: Optional[CellId],
+    report: RoutePhaseReport,
+) -> None:
+    """Write one cell's Route result, recording each field that changed."""
+    if new_dist != state.dist:
+        report.changed_dist.append(state.cell_id)
+        state.dist = new_dist
+    if new_next != state.next_id:
+        report.changed_next.append(state.cell_id)
+        state.next_id = new_next
 
 
 def _route_step(

@@ -19,12 +19,17 @@ Signal is the safety/progress core of the protocol. Each non-faulty cell:
 The grant is what makes transfers safe: predicate H says a granted edge
 has a ``d``-deep empty strip behind it, so an entity snapped onto that
 edge lands at distance >= d from every resident entity (Theorem 5).
+
+:func:`signal_cells` is the one loop around the per-cell step: the full
+sweep (:func:`signal_phase`), ``System.signal_cells`` (the incremental
+engine and the shard coordinator's fallback) and the shard workers run
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.cell import CellState
 from repro.core.params import Parameters
@@ -104,7 +109,7 @@ def gap_clear(
 
 
 def compute_ne_prev(
-    grid: Grid, cells: Dict[CellId, CellState], cid: CellId
+    grid: Grid, cells: Mapping[CellId, CellState], cid: CellId
 ) -> Set[CellId]:
     """``NEPrev``: nonempty, non-faulty neighbors routing through ``cid``.
 
@@ -126,27 +131,34 @@ def signal_phase(
     params: Parameters,
     policy: Optional[TokenPolicy] = None,
 ) -> SignalPhaseReport:
-    """Apply Signal simultaneously to every non-faulty cell.
-
-    Reads neighbors' post-Route ``next`` and membership; writes each cell's
-    own ``ne_prev``, ``token`` and ``signal``. Simultaneity is safe because
-    Signal writes only private/own variables while reading only the
-    neighbors' shared ones, which no cell's Signal modifies.
-    """
+    """Apply Signal simultaneously to every non-faulty cell."""
     if policy is None:
         policy = RoundRobinTokenPolicy()
-    # Snapshot the shared inputs so in-round writes cannot leak between
-    # cells (next is written by Route, not Signal, but membership of the
-    # *own* cell is also read — own state is current by construction).
-    ne_prev_map = {
-        cid: compute_ne_prev(grid, cells, cid)
-        for cid, state in cells.items()
-        if not state.failed
-    }
+    return signal_cells(grid, cells, params, policy, cells)
+
+
+def signal_cells(
+    grid: Grid,
+    cells: Mapping[CellId, CellState],
+    params: Parameters,
+    policy: TokenPolicy,
+    cids: Iterable[CellId],
+) -> SignalPhaseReport:
+    """Signal at the non-faulty cells among ``cids``, in that order.
+
+    Reads the neighbors' post-Route ``next``, membership and ``failed``;
+    writes each listed cell's own ``ne_prev``, ``token`` and ``signal``.
+    One pass is simultaneous because Signal writes only the cell's own
+    variables while reading only the neighbors' shared ones, which no
+    cell's Signal modifies. ``cells`` may hold cells the loop never
+    evaluates (a shard worker's rim).
+    """
     report = SignalPhaseReport()
-    for cid, ne_prev in ne_prev_map.items():
+    for cid in cids:
         state = cells[cid]
-        _signal_step(state, ne_prev, params, policy, report)
+        if not state.failed:
+            ne_prev = compute_ne_prev(grid, cells, cid)
+            _signal_step(state, ne_prev, params, policy, report)
     return report
 
 

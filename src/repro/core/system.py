@@ -26,13 +26,8 @@ from repro.core.entity import Entity
 from repro.core.move import MovePhaseReport, apply_moves, collect_movers
 from repro.core.params import Parameters
 from repro.core.policies import RoundRobinTokenPolicy, TokenPolicy
-from repro.core.route import RoutePhaseReport, _route_step, route_phase
-from repro.core.signal import (
-    SignalPhaseReport,
-    _signal_step,
-    compute_ne_prev,
-    signal_phase,
-)
+from repro.core.route import RoutePhaseReport, route_cells, route_phase
+from repro.core.signal import SignalPhaseReport, signal_cells, signal_phase
 from repro.core.sources import EagerSource, SourcePolicy
 from repro.geometry.point import Point
 from repro.grid.topology import CellId, Grid
@@ -112,6 +107,12 @@ class System:
         deterministic); defaults to a fixed-seed generator.
     """
 
+    #: The round engines that can run this kind of system (``None``: all
+    #: of them), and the name ``repro.sim.engine.make_engine`` gives the
+    #: kind when it refuses another engine.
+    engines: Optional[Tuple[str, ...]] = None
+    kind = "single-flow systems"
+
     def __init__(
         self,
         grid: Grid,
@@ -152,9 +153,12 @@ class System:
         #: transitions — the idempotent no-op cases stay silent),
         #: ``"relocate"`` (target relocation, fired for both the old and
         #: the new target cell), and
-        #: ``"members"`` (direct entity seeding). The incremental round
-        #: engine (:mod:`repro.sim.engine`) uses it to seed its dirty
-        #: sets; everything else leaves it None.
+        #: ``"members"`` (direct entity seeding). Whoever mirrors or
+        #: tracks cell state chains into it: the incremental engine
+        #: seeds its dirty sets, the vectorized engine resyncs its
+        #: arrays, the shard coordinator queues the event for the
+        #: owning worker, and the fault injector's ``LiveSplit`` keeps
+        #: its live/failed lists. A bare ``System`` leaves it None.
         self.cell_observer = None
 
     # ------------------------------------------------------------------
@@ -238,38 +242,17 @@ class System:
     # -- one phase over given cells (the incremental engine's sweeps) ----
 
     def route_cells(self, cids: Iterable[CellId]) -> RoutePhaseReport:
-        """Route at ``cids`` (row-major), computing every result before
-        writing any, so the cells read each other's pre-phase dists
-        exactly as the simultaneous sweep of :meth:`update` does."""
+        """Route at ``cids`` (row-major): the core loop, reading the live
+        dists, which are the pre-phase ones because it writes nothing
+        until every listed cell is computed."""
         cells = self.cells
-        view = LiveDistView(cells)
-        updates = []
-        for cid in cids:
-            state = cells[cid]
-            if state.failed or cid == self.tid:
-                continue
-            new_dist, new_next = _route_step(self.grid, cid, view)
-            if new_dist != state.dist or new_next != state.next_id:
-                updates.append((state, new_dist, new_next))
-        report = RoutePhaseReport()
-        for state, new_dist, new_next in updates:
-            if new_dist != state.dist:
-                report.changed_dist.append(state.cell_id)
-                state.dist = new_dist
-            if new_next != state.next_id:
-                report.changed_next.append(state.cell_id)
-                state.next_id = new_next
-        return report
+        return route_cells(self.grid, cells, self.tid, cids, LiveDistView(cells))
 
     def signal_cells(self, cids: Iterable[CellId]) -> SignalPhaseReport:
         """Signal at the non-failed cells among ``cids`` (row-major)."""
-        report = SignalPhaseReport()
-        for cid in cids:
-            state = self.cells[cid]
-            if not state.failed:
-                ne_prev = compute_ne_prev(self.grid, self.cells, cid)
-                _signal_step(state, ne_prev, self.params, self.token_policy, report)
-        return report
+        return signal_cells(
+            self.grid, self.cells, self.params, self.token_policy, cids
+        )
 
     def movers(self) -> List[Tuple[CellId, CellId]]:
         """The ``(mover, next)`` pairs whose ``next`` granted the mover."""

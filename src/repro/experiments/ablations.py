@@ -161,7 +161,11 @@ def unsafe_ablation(
             if cid not in alive:
                 system.fail(cid)
         monitors = MonitorSuite(strict=False, check_h_predicate=False, check_lemma_4=False)
-        result = Simulator(system=system, rounds=rounds, monitors=monitors).run()
+        # The greedy baseline runs on the reference engine only (its
+        # ``engines``), whatever REPRO_ENGINE names.
+        result = Simulator(
+            system=system, rounds=rounds, monitors=monitors, engine="reference"
+        ).run()
         safety_count = monitors.violation_counts().get("Safe (Theorem 5)", 0)
         rows.append(
             UnsafeAblationRow(
@@ -236,7 +240,11 @@ def centralized_ablation(
         BernoulliFaultModel(pf=pf, pr=pr), rng=derive_rng(seed, "faults-cent")
     )
     result = Simulator(
-        system=centralized, rounds=rounds, injector=injector, monitors=MonitorSuite()
+        system=centralized,
+        rounds=rounds,
+        injector=injector,
+        monitors=MonitorSuite(),
+        engine="reference",
     ).run()
     rows.append(
         CentralizedAblationRow(

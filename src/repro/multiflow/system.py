@@ -70,6 +70,7 @@ from repro.core.sources import entry_wall_center
 from repro.core.system import RoundReport, run_round
 from repro.geometry.separation import fits_among
 from repro.grid.topology import CellId, Grid
+from repro.multiflow import MULTIFLOW_ENGINES
 from repro.multiflow.commodities import Commodity, CommodityTable
 from repro.multiflow.workload import WorkloadProfile, resolve_workload
 
@@ -135,9 +136,13 @@ class MultiCommoditySystem:
     / ``consumed_by_commodity`` ledgers the conservation oracle audits.
     """
 
-    #: Marks the system for the engine refusal in ``make_engine`` and the
-    #: differential harness's canonical-state extension.
+    #: Marks the system for the differential harness's canonical-state
+    #: extension (and the CLI's and observability's commodity output).
     is_multiflow = True
+    #: The engines that run it (``System.engines``): the rest read
+    #: single-flow state.
+    engines = MULTIFLOW_ENGINES
+    kind = "multi-commodity systems"
 
     def __init__(
         self,

@@ -14,10 +14,10 @@ round it sends at one turn and computes from what arrived at the next:
 Every inbox holds the messages of one turn, so it carries one message
 type. Route and Signal call the shared-variable model's own per-cell
 steps (``_route_step``, ``_signal_step``) on what arrived, and record
-their changes and decisions in the round's phase reports exactly as the
-synchronous sweeps do — so any divergence between the two models is a
-protocol bug, not a re-coding artifact, and the lockstep tests would
-catch it.
+their changes (through ``write_route``) and decisions in the round's
+phase reports exactly as the synchronous sweeps do — so any divergence
+between the two models is a protocol bug, not a re-coding artifact,
+and the lockstep tests would catch it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.core.entity import Entity
 from repro.core.move import crossed_boundary
 from repro.core.params import Parameters
 from repro.core.policies import TokenPolicy
-from repro.core.route import RoutePhaseReport, _route_step
+from repro.core.route import RoutePhaseReport, _route_step, write_route
 from repro.core.signal import SignalPhaseReport, _signal_step
 from repro.grid.topology import CellId, Grid, direction_between
 from repro.netsim.message import (
@@ -103,13 +103,7 @@ class CellProcess:
         new_dist, new_next = _route_step(self.grid, cid, dists)
         if report is None:
             report = RoutePhaseReport()
-        state = self.state
-        if new_dist != state.dist:
-            report.changed_dist.append(cid)
-            state.dist = new_dist
-        if new_next != state.next_id:
-            report.changed_next.append(cid)
-            state.next_id = new_next
+        write_route(self.state, new_dist, new_next, report)
 
     # ------------------------------------------------------------------
     # Signal

@@ -3,7 +3,7 @@ processes, exchanging only boundary-cell shared state per round.
 
 Modules: :mod:`~repro.shard.partition` (districts / ShardPlan),
 :mod:`~repro.shard.channel` (retrying request/reply transport),
-:mod:`~repro.shard.worker` (the district process + shared pure sweeps),
+:mod:`~repro.shard.worker` (the district process and its rim cells),
 :mod:`~repro.shard.coordinator` (authoritative merge, healing state
 machine), :mod:`~repro.shard.engine` (the ``sharded`` RoundEngine).
 See docs/sharding.md.

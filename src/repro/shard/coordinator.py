@@ -8,17 +8,18 @@ observe — and drives one round as three exchanges with the shard fleet:
    pre-round effective dists, and any fail/recover/relocate events and
    membership resyncs for its own cells (a target relocation is a
    ``relocate`` event for each of the old and the new target's
-   districts); each worker re-evaluates Route on its district's dirty
-   cells (:mod:`repro.core.dirty`) and returns the cells whose ``dist``
-   or ``next`` changed. The coordinator sorts the merged results into
-   global row-major order and applies them — producing the exact
+   districts); each worker runs the core Route loop on its district's
+   dirty cells (:mod:`repro.core.dirty`) and returns the cells whose
+   ``dist`` or ``next`` changed. The coordinator sorts the merged
+   results into global row-major order and applies them through the
+   reference's ``write_route`` — producing the exact
    ``RoutePhaseReport`` the reference sweep would, since applying
    records only real changes.
 2. **signal**: ship post-Route rim ``(next, nonempty)`` ghosts; workers
-   run Signal over their pending cells (mutating their own token/signal
-   state with the identical rules) and return value updates plus their
-   slice of the grant report; again merged row-major. A live cell no
-   worker evaluated holds ``(NEPrev, token, signal) = (empty, bot, bot)``,
+   run the core Signal loop over their pending cells (mutating their
+   own token/signal state) and return value updates plus their slice
+   of the grant report; again merged row-major. A live cell no worker
+   evaluated holds ``(NEPrev, token, signal) = (empty, bot, bot)``,
    which is what the reference sweep would write.
 3. Move runs **coordinator-side** (on the movers derived from the
    merged grant report, exactly like the incremental engine), as does
@@ -36,9 +37,11 @@ matrix.
 
 **Healing.** A shard that dies mid-round (worker exit, heartbeat
 timeout, unrecoverable channel corruption) does not corrupt the round:
-the coordinator finishes the missing phases *locally* with the same pure
-district functions (:mod:`repro.shard.worker`) over authoritative state,
-so the death round itself is state-identical to a run without the death.
+the coordinator finishes the missing phases *locally*, running
+``System.route_cells`` / ``signal_cells`` — the loops the workers run —
+on the district over authoritative state before it applies the other
+replies, so the death round itself is state-identical to a run without
+the death.
 The fault semantics land at the next round boundary — a legal
 environment-transition point, the same place the fault injector acts:
 every cell of the dead district is ``fail()``-ed, neighbors observe the
@@ -63,22 +66,21 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import repro
-from repro.core.cell import effective_dist, effective_next, effective_nonempty
+from repro.core.cell import (
+    dist_from_int,
+    effective_dist,
+    effective_next,
+    effective_nonempty,
+)
 from repro.core.dirty import row_major as _row_major
 from repro.core.move import MovePhaseReport, movers_from_grants
-from repro.core.route import RoutePhaseReport, int_dist_snapshot
+from repro.core.route import RoutePhaseReport, write_route
 from repro.core.signal import SignalPhaseReport
 from repro.core.system import RoundReport, System, run_round
 from repro.grid.topology import CellId, direction_between
 from repro.shard.channel import ChannelError, ShardChannel
 from repro.shard.partition import ShardPlan
-from repro.shard.worker import (
-    apply_route_updates,
-    apply_signal_updates,
-    compute_route_updates,
-    compute_signal_updates,
-    entity_to_wire,
-)
+from repro.shard.worker import entity_to_wire
 from repro.sim.supervisor import RetryPolicy
 
 
@@ -230,31 +232,20 @@ class ShardCoordinator:
             }
 
         results = self._gather("route", payload)
-        merged: List[Tuple[CellId, int, Optional[CellId]]] = []
-        # Nothing is applied until every district has answered, so the
-        # live state is still pre-round here; the fallback snapshots it
-        # only when some district needs one.
-        dist_view: Optional[Dict[CellId, int]] = None
-        for handle in self._handles:
-            wire = results.get(handle.shard_id)
-            if wire is not None:
-                merged.extend(wire["updates"])
-                continue
-            # Dead/degraded shard (or one that died this phase): the
-            # coordinator stands in with the same pure district sweep
-            # over authoritative state.
-            handle.pending_events = []
-            handle.pending_member_sync = set()
-            if dist_view is None:
-                dist_view = int_dist_snapshot(cells)
-            merged.extend(
-                compute_route_updates(
-                    system.grid, cells, system.tid, handle.district, dist_view
-                )
-            )
-        merged.sort(key=lambda update: _row_major(update[0]))
-        report = RoutePhaseReport()
-        apply_route_updates(cells, merged, report)
+        # Dead/degraded shards (or ones that died this phase): the
+        # coordinator stands in with the same loop over authoritative
+        # state. Nothing is applied until every district has answered,
+        # so the live dists are still the pre-round ones.
+        standins = self._stand_in_cells(results)
+        report = system.route_cells(standins)
+        for cid, dist_int, new_next in sorted(
+            (update for wire in results.values() for update in wire["updates"]),
+            key=lambda update: _row_major(update[0]),
+        ):
+            write_route(cells[cid], dist_from_int(dist_int), new_next, report)
+        if standins:  # the stand-in's changes, then the replies'
+            report.changed_dist.sort(key=_row_major)
+            report.changed_next.sort(key=_row_major)
         return report
 
     def _signal_phase(self, route_report: RoutePhaseReport) -> SignalPhaseReport:
@@ -271,28 +262,28 @@ class ShardCoordinator:
             }
 
         results = self._gather("signal", payload)
-        wires: List[Dict[str, Any]] = []
-        for handle in self._handles:
-            wire = results.get(handle.shard_id)
-            if wire is None:
-                # Fallback mutates the authoritative cells directly with
-                # the reference rules; its wire output joins the merge
-                # like any worker's (re-assignment is idempotent).
-                wire = compute_signal_updates(
-                    system.grid,
-                    cells,
-                    system.params,
-                    system.token_policy,
-                    handle.district,
-                    lambda c: effective_next(cells[c]),
-                    lambda c: effective_nonempty(cells[c]),
-                )
-            wires.append(wire)
-        updates = sorted(
+        wires = list(results.values())
+        standins = self._stand_in_cells(results)
+        if standins:
+            # The stand-in mutates the authoritative cells directly; its
+            # decisions join the merge like a worker's.
+            fallback = system.signal_cells(standins)
+            wires.append(
+                {
+                    "updates": (),
+                    "granted": fallback.granted.items(),
+                    "blocked": fallback.blocked,
+                    "rotated": fallback.rotated,
+                }
+            )
+        for cid, ne_prev, token, sig in sorted(
             (update for wire in wires for update in wire["updates"]),
             key=lambda update: _row_major(update[0]),
-        )
-        apply_signal_updates(cells, updates)
+        ):
+            state = cells[cid]
+            state.ne_prev = set(ne_prev)
+            state.token = token
+            state.signal = sig
         report = SignalPhaseReport()
         for granter, grantee in sorted(
             (pair for wire in wires for pair in wire["granted"]),
@@ -307,6 +298,18 @@ class ShardCoordinator:
             key=lambda entry: _row_major(entry[0]),
         )
         return report
+
+    def _stand_in_cells(self, results: Dict[int, Dict[str, Any]]) -> List[CellId]:
+        """The cells of every district that did not reply this phase,
+        whose queued events and member syncs are dropped: the
+        coordinator computes those cells from its own state."""
+        cells: List[CellId] = []
+        for handle in self._handles:
+            if handle.shard_id not in results:
+                handle.pending_events = []
+                handle.pending_member_sync = set()
+                cells.extend(handle.district)
+        return cells
 
     def _move_phase(self, signal_report: SignalPhaseReport) -> MovePhaseReport:
         """Move on the authoritative state, from the merged grant report

@@ -1,32 +1,33 @@
 """Shard worker: one contiguous district of the grid in its own process.
 
 The worker holds the :class:`~repro.core.cell.CellState` of its district
-cells (entities included) and executes the heavy per-cell sweeps — Route
-and Signal — over them each round, reading out-of-district neighbors
-through per-round *ghost* values the coordinator sends (effective
-``dist`` for Route; effective ``next``/nonemptiness for Signal). Move is
-computed by the coordinator from the merged grant report; the worker
-replays its district's slice of the outcome (translations, boundary
-transfers, produced entities) from the commit message, using the same
-IEEE float operations, so its mirror stays bitwise identical to the
-coordinator's authoritative state.
+cells (entities included) and runs the core Route and Signal loops
+(:func:`~repro.core.route.route_cells`,
+:func:`~repro.core.signal.signal_cells`) over them each round — the
+loops of the reference and incremental engines. It reads each out-of-district neighbor through
+a :class:`RimCell`, refreshed from the per-round *ghost* values the
+coordinator sends (effective ``dist`` before Route; effective
+``next``/nonemptiness before Signal). Move is computed by the
+coordinator from the merged grant report; the worker replays its
+district's slice of the outcome (translations, boundary transfers,
+produced entities) from the commit message, using the same IEEE float
+operations, so its mirror stays bitwise identical to the coordinator's
+authoritative state.
 
 A worker evaluates only its district's *dirty* cells: it keeps the
 incremental engine's per-phase dirty sets (:mod:`repro.core.dirty`,
 restricted to the district) and feeds every change it sees into the
 same rules — its own Route results, fail/recover/relocate events
 (the fault rule, as in the incremental engine), membership changes
-from commits and ``member_sync``, and rim ghosts that differ from the
-previous round's. Route replies list only the cells whose
-``dist`` or ``next`` changed; Signal replies list the evaluated cells.
+from commits and ``member_sync``, and ghosts that differ from what its
+rim cells held the round before. Route replies list only the cells
+whose ``dist`` or ``next`` changed; Signal replies list the evaluated
+cells.
 
-The district computations live here as **pure module functions**
-(:func:`compute_route_updates`, :func:`compute_signal_updates`,
-:func:`apply_route_updates`, :func:`apply_commit`) shared by the worker
-*and* the coordinator's local-fallback path: when a shard dies mid-round
-the coordinator finishes the round by running exactly these functions
-over its authoritative state, which is why a death round is
-state-identical to a run without the death (docs/sharding.md).
+When a shard dies mid-round the coordinator finishes the round with
+``System.route_cells`` / ``signal_cells`` over its authoritative state:
+the same loops, which is why a death round is state-identical to a run
+without the death (docs/sharding.md).
 
 Process protocol (``python -m repro.shard._worker_main <fd>``): a pickle-framed
 request loop over an inherited socketpair fd. Every request carries a
@@ -45,20 +46,14 @@ import os
 import signal as _signal
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.cell import (
-    CellState,
-    dist_from_int,
-    dist_to_int,
-    effective_next,
-    effective_nonempty,
-)
-from repro.core.dirty import DirtyCells, LiveDistView
+from repro.core.cell import INFINITY, CellState, dist_to_int
+from repro.core.dirty import DirtyCells, LiveDistView, row_major
 from repro.core.entity import Entity
 from repro.core.params import Parameters
-from repro.core.route import RoutePhaseReport, _route_step
-from repro.core.signal import SignalPhaseReport, _signal_step
+from repro.core.route import route_cells
+from repro.core.signal import signal_cells
 from repro.core.policies import TokenPolicy
 from repro.grid.topology import CellId, Direction, Grid
 
@@ -79,115 +74,8 @@ def entity_from_wire(wire: Sequence) -> Entity:
 
 
 # ---------------------------------------------------------------------------
-# District computation (pure; shared with the coordinator fallback)
+# Replaying the coordinator's changes on the district mirror
 # ---------------------------------------------------------------------------
-
-
-def compute_route_updates(
-    grid: Grid,
-    cells: Dict[CellId, CellState],
-    tid: CellId,
-    district: Sequence[CellId],
-    dist_view,
-) -> List[Tuple[CellId, int, Optional[CellId]]]:
-    """Route over ``district`` (all of it, or its dirty cells) against
-    pre-round dists.
-
-    ``dist_view`` must map every listed cell's neighbors to the
-    pre-round effective dist in the integer embedding
-    (``__getitem__`` protocol; see ``_route_step``). Returns
-    ``(cid, dist_int, next)`` for every evaluated cell, in the order
-    given; application is a separate step so the snapshot semantics of
-    the reference's Jacobi sweep are preserved.
-    """
-    updates: List[Tuple[CellId, int, Optional[CellId]]] = []
-    for cid in district:
-        state = cells[cid]
-        if state.failed or cid == tid:
-            continue
-        new_dist, new_next = _route_step(grid, cid, dist_view)
-        updates.append((cid, dist_to_int(new_dist), new_next))
-    return updates
-
-
-def apply_route_updates(
-    cells: Dict[CellId, CellState],
-    updates: Sequence[Tuple[CellId, int, Optional[CellId]]],
-    report: Optional[RoutePhaseReport] = None,
-) -> None:
-    """Apply Route results, recording actual changes like the reference.
-
-    ``updates`` must already be in the iteration order the report lists
-    should have (the worker applies its district slice; the coordinator
-    applies the globally row-major-sorted merge).
-    """
-    for cid, dist_int, new_next in updates:
-        state = cells[cid]
-        new_dist = dist_from_int(dist_int)
-        if new_dist != state.dist:
-            if report is not None:
-                report.changed_dist.append(cid)
-            state.dist = new_dist
-        if new_next != state.next_id:
-            if report is not None:
-                report.changed_next.append(cid)
-            state.next_id = new_next
-
-
-def compute_signal_updates(
-    grid: Grid,
-    cells: Dict[CellId, CellState],
-    params: Parameters,
-    policy: TokenPolicy,
-    district: Sequence[CellId],
-    next_of: Callable[[CellId], Optional[CellId]],
-    nonempty_of: Callable[[CellId], bool],
-) -> Dict[str, Any]:
-    """Signal over ``district`` (all of it, or its pending cells),
-    mutating the cells' own variables.
-
-    ``next_of`` / ``nonempty_of`` must answer for every neighbor of a
-    listed cell (in- or out-of-district) with post-Route effective
-    values. Mutates ``token``/``signal``/``ne_prev`` of the listed
-    non-failed cells exactly like the reference sweep, and returns the
-    wire-format result the coordinator merges: per-cell value updates
-    plus the slice of the grant report, all in the order given.
-    """
-    ne_prev_map = {}
-    for cid in district:
-        state = cells[cid]
-        if state.failed:
-            continue
-        ne_prev = {
-            nbr
-            for nbr in grid.neighbors(cid)
-            if next_of(nbr) == cid and nonempty_of(nbr)
-        }
-        ne_prev_map[cid] = ne_prev
-    report = SignalPhaseReport()
-    updates: List[Tuple[CellId, Tuple[CellId, ...], Optional[CellId], Optional[CellId]]] = []
-    for cid, ne_prev in ne_prev_map.items():
-        state = cells[cid]
-        _signal_step(state, ne_prev, params, policy, report)
-        updates.append((cid, tuple(sorted(ne_prev)), state.token, state.signal))
-    return {
-        "updates": updates,
-        "granted": list(report.granted.items()),
-        "blocked": report.blocked,
-        "rotated": report.rotated,
-    }
-
-
-def apply_signal_updates(
-    cells: Dict[CellId, CellState],
-    updates: Sequence[Tuple[CellId, Sequence[CellId], Optional[CellId], Optional[CellId]]],
-) -> None:
-    """Write merged Signal values onto the cells (idempotent re-assign)."""
-    for cid, ne_prev, token, sig in updates:
-        state = cells[cid]
-        state.ne_prev = set(ne_prev)
-        state.token = token
-        state.signal = sig
 
 
 def apply_events(
@@ -276,12 +164,36 @@ def district_digest(
 # ---------------------------------------------------------------------------
 
 
+class RimCell:
+    """An out-of-district neighbor as the district's loops read it.
+
+    Holds what the coordinator's ghosts carry: the neighbor's effective
+    ``dist`` (refreshed before Route) and its effective ``next`` and
+    nonemptiness (refreshed before Signal). A failed neighbor arrives
+    masked (``dist = inf``, ``next = bot``, empty), so a rim cell is
+    never failed; ``members`` is the nonemptiness flag, which is all
+    :func:`~repro.core.signal.compute_ne_prev` reads of it.
+    """
+
+    __slots__ = ("cell_id", "dist", "next_id", "members")
+    failed = False
+
+    def __init__(self, cell_id: CellId):
+        self.cell_id = cell_id
+        self.dist = INFINITY
+        self.next_id: Optional[CellId] = None
+        self.members = False
+
+
 class DistrictWorker(DirtyCells):
     """Request handler around one district's state and dirty sets.
 
     Usable in-process (tests drive it directly) or behind the pickle
-    loop of :func:`serve`. A new worker starts with every district cell
-    dirty, so its first round is a full sweep.
+    loop of :func:`serve`. ``cells`` holds the district's cells and one
+    :class:`RimCell` per out-of-district neighbor, so the core Route and
+    Signal loops read the rim as they read the district. A new worker
+    starts with every district cell dirty, so its first round is a full
+    sweep.
     """
 
     def __init__(self, init: Dict[str, Any]):
@@ -290,12 +202,13 @@ class DistrictWorker(DirtyCells):
         self.params: Parameters = init["params"]
         self.policy: TokenPolicy = init["policy"]
         self.district: List[CellId] = list(init["district"])
-        self.cells: Dict[CellId, CellState] = init["cells"]
+        self.cells: Dict[CellId, Union[CellState, RimCell]] = init["cells"]
         self.chaos: Optional[Dict[str, Any]] = init.get("chaos")
         self._track(self.grid, self.district)
-        # The previous round's rim ghosts, compared against each new set.
-        self._route_ghosts: Dict[CellId, float] = {}
-        self._signal_ghosts: Dict[CellId, Tuple] = {}
+        for cid in self.district:
+            for nbr in self.grid.neighbors(cid):
+                if nbr not in self.cells:
+                    self.cells[nbr] = RimCell(nbr)
 
     # -- chaos hooks (tests only) --------------------------------------
 
@@ -323,21 +236,34 @@ class DistrictWorker(DirtyCells):
     def _note_route_ghosts(self, ghosts: Dict[CellId, float]) -> None:
         """A rim cell whose dist differs from last round's wakes its
         district neighbors' Route (the dist rule across the rim)."""
-        previous = self._route_ghosts
+        cells = self.cells
         for cid, dist in ghosts.items():
-            if previous.get(cid) != dist:
+            if cells[cid].dist != dist:
                 self._mark_dist_change(cid)
-        self._route_ghosts = ghosts
 
     def _note_signal_ghosts(self, ghosts: Dict[CellId, Tuple]) -> None:
         """A rim cell whose ``(next, nonempty)`` differs from last round's
         wakes its district neighbors' Signal: a changed ``next`` and a
         changed membership both reach them only through ``NEPrev``."""
-        previous = self._signal_ghosts
-        for cid, ghost in ghosts.items():
-            if previous.get(cid) != ghost:
+        cells = self.cells
+        for cid, (next_id, nonempty) in ghosts.items():
+            rim = cells[cid]
+            if rim.next_id != next_id or rim.members != nonempty:
                 self._mark_next_change(cid)
-        self._signal_ghosts = ghosts
+
+    def _refresh_rim_dists(self, ghosts: Dict[CellId, float]) -> None:
+        """The rim cells take this round's pre-Route dists."""
+        cells = self.cells
+        for cid, dist in ghosts.items():
+            cells[cid].dist = dist
+
+    def _refresh_rim_signal(self, ghosts: Dict[CellId, Tuple]) -> None:
+        """The rim cells take this round's post-Route ``(next, nonempty)``."""
+        cells = self.cells
+        for cid, (next_id, nonempty) in ghosts.items():
+            rim = cells[cid]
+            rim.next_id = next_id
+            rim.members = nonempty
 
     def _apply_member_sync(self, member_sync: Dict[CellId, Sequence[Sequence]]) -> None:
         apply_member_sync(self.cells, member_sync)
@@ -367,56 +293,44 @@ class DistrictWorker(DirtyCells):
         self._apply_member_sync(payload.get("member_sync", {}))
         ghosts = payload["ghosts"]
         self._note_route_ghosts(ghosts)
-        changed = []
-        for update in compute_route_updates(
-            self.grid,
-            self.cells,
-            self.tid,
-            self._take_route_dirty(),
-            LiveDistView(self.cells, ghosts),
-        ):
-            cid, dist_int, new_next = update
-            state = self.cells[cid]
-            dist_changed = dist_from_int(dist_int) != state.dist
-            next_changed = new_next != state.next_id
-            if dist_changed:
-                self._mark_dist_change(cid)
-            if next_changed:
-                self._mark_next_change(cid)
-            if dist_changed or next_changed:
-                changed.append(update)
-        apply_route_updates(self.cells, changed)
-        return {"updates": changed}
+        self._refresh_rim_dists(ghosts)
+        cells = self.cells
+        report = route_cells(
+            self.grid, cells, self.tid, self._take_route_dirty(), LiveDistView(cells)
+        )
+        for cid in report.changed_dist:
+            self._mark_dist_change(cid)
+        for cid in report.changed_next:
+            self._mark_next_change(cid)
+        changed = sorted({*report.changed_dist, *report.changed_next}, key=row_major)
+        return {
+            "updates": [
+                (cid, dist_to_int(cells[cid].dist), cells[cid].next_id)
+                for cid in changed
+            ]
+        }
 
     def _handle_signal(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         ghosts: Dict[CellId, Tuple] = payload["ghosts"]
         self._note_signal_ghosts(ghosts)
+        self._refresh_rim_signal(ghosts)
         cells = self.cells
-
-        def next_of(cid: CellId):
-            state = cells.get(cid)
-            if state is not None:
-                return effective_next(state)
-            return ghosts[cid][0]
-
-        def nonempty_of(cid: CellId) -> bool:
-            state = cells.get(cid)
-            if state is not None:
-                return effective_nonempty(state)
-            return ghosts[cid][1]
-
-        wire = compute_signal_updates(
-            self.grid,
-            cells,
-            self.params,
-            self.policy,
-            self._take_signal_pending(),
-            next_of,
-            nonempty_of,
-        )
-        for cid, ne_prev, _, _ in wire["updates"]:
-            self._keep_hot(cid, ne_prev)
-        return wire
+        pending = self._take_signal_pending()
+        report = signal_cells(self.grid, cells, self.params, self.policy, pending)
+        updates = []
+        for cid in pending:
+            state = cells[cid]
+            if not state.failed:
+                self._keep_hot(cid, state.ne_prev)
+                updates.append(
+                    (cid, tuple(sorted(state.ne_prev)), state.token, state.signal)
+                )
+        return {
+            "updates": updates,
+            "granted": list(report.granted.items()),
+            "blocked": report.blocked,
+            "rotated": report.rotated,
+        }
 
     def _handle_commit(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         movers = payload.get("movers", ())
@@ -471,7 +385,7 @@ def serve(conn, sleep: Callable[[float], None] = time.sleep) -> None:
             # hang inside the timeout budget is also survivable.
         if kind == "init":
             worker = DistrictWorker(payload)
-            result: Dict[str, Any] = {"ok": True, "cells": len(worker.cells)}
+            result: Dict[str, Any] = {"ok": True, "cells": len(worker.district)}
         elif kind == "shutdown":
             return
         elif worker is None:

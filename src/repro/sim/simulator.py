@@ -77,9 +77,9 @@ class Simulator:
         # cost lands in the overhead bucket, not the phase buckets).
         self.profiler = PhaseProfiler().install(system)
         # Round engine: explicit argument > config.engine > REPRO_ENGINE >
-        # reference. Both engines produce byte-identical state, reports,
-        # metrics and traces (tests/test_engine_differential.py); the
-        # incremental one skips quiescent cells via dirty sets.
+        # reference. Every engine produces byte-identical state, reports,
+        # metrics and traces (the lockstep tests); make_engine refuses an
+        # engine the system's class does not name.
         engine_name = resolve_engine_name(
             engine if engine is not None
             else (config.engine if config is not None else None)

@@ -22,7 +22,12 @@ source trees can be compared round by round:
   coordinator) on churned open grids, digested the same way;
 * four target relocations under Bernoulli churn (across districts,
   onto district rims, back to the start) on the ``reference``,
-  ``incremental`` and ``sharded`` engines.
+  ``incremental`` and ``sharded`` engines;
+* shard deaths under Bernoulli churn: shard 1's worker killed in the
+  route phase, and in the signal phase, at 2 and 4 shards, plus one run
+  with no respawn budget, whose degraded district's recovered cells run
+  on the coordinator's fallback every round after; each with its
+  healing log.
 
 It uses only interfaces that both trees have, so it runs against each:
 
@@ -342,7 +347,53 @@ def relocation_runs() -> Dict[str, Dict]:
     return runs
 
 
-SECTIONS = ("timed", "netsim_oracle", "lossy", "engines", "baselines", "relocations")
+#: Round at which a death run kills shard 1's worker.
+DEATH_ROUND = 30
+
+
+def _death_run(shards: int, phase: str, respawn_budget: int = 2) -> Dict:
+    config = SimulationConfig(
+        grid_width=8,
+        params=PARAMS,
+        rounds=90,
+        tid=(6, 6),
+        sources=((0, 0), (0, 7)),
+        fault=FaultSpec(pf=0.02, pr=0.3),
+        seed=shards,
+        shards=shards,
+    )
+    sim = build_simulation(config, engine="sharded")
+    sim.engine.chaos = {1: {"phase": phase, "round": DEATH_ROUND, "action": "kill"}}
+    sim.engine.heal_delay = 2
+    sim.engine.respawn_budget = respawn_budget
+    run = _digested_run(sim, config.rounds)
+    # The error text of a death names the OS error the channel saw.
+    run["healing"] = [
+        {key: value for key, value in entry.items() if key != "detail"}
+        for entry in sim.engine.healing_log
+    ]
+    return run
+
+
+def death_runs() -> Dict[str, Dict]:
+    runs = {
+        f"{shards}shards/{phase}": _death_run(shards, phase)
+        for shards in (2, 4)
+        for phase in ("route", "signal")
+    }
+    runs["2shards/route/degraded"] = _death_run(2, "route", respawn_budget=0)
+    return runs
+
+
+SECTIONS = (
+    "timed",
+    "netsim_oracle",
+    "lossy",
+    "engines",
+    "baselines",
+    "relocations",
+    "deaths",
+)
 
 
 def dump(out: Path) -> None:
@@ -353,6 +404,7 @@ def dump(out: Path) -> None:
         "engines": engine_runs(),
         "baselines": baseline_runs(),
         "relocations": relocation_runs(),
+        "deaths": death_runs(),
     }
     out.write_text(json.dumps(record, indent=1, sort_keys=True))
     timed = record["timed"]
@@ -370,12 +422,15 @@ def dump(out: Path) -> None:
         f"engine runs: {len(engines)} ({len(multiflow)} multi-commodity), "
         f"monitor violations: {sum(run['violations'] for run in engines.values())}"
     )
-    for section in ("baselines", "relocations"):
+    for section in ("baselines", "relocations", "deaths"):
         for name, run in sorted(record[section].items()):
             print(
                 f"{section}/{name}: consumed {run['consumed']}, "
                 f"monitor violations {run['violations']}"
             )
+    for name, run in sorted(record["deaths"].items()):
+        events = [entry["event"] for entry in run["healing"]]
+        print(f"deaths/{name}: healing {events}")
 
 
 def compare(old_path: Path, new_path: Path) -> int:

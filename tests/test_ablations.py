@@ -55,6 +55,19 @@ class TestCentralizedAblation:
             assert row.throughput > 0
 
 
+class TestBaselinesIgnoreTheEngineVariable:
+    def test_rows_under_repro_engine_equal_the_reference_rows(self, monkeypatch):
+        """The baselines' protocol lives in ``update``, which only the
+        reference engine runs: the ablations build them on it whatever
+        ``REPRO_ENGINE`` names."""
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        reference = (unsafe_ablation(rounds=300), centralized_ablation(rounds=600))
+        monkeypatch.setenv("REPRO_ENGINE", "incremental")
+        assert (
+            unsafe_ablation(rounds=300), centralized_ablation(rounds=600)
+        ) == reference
+
+
 class TestSourcePolicyAblation:
     def test_offered_load_monotone(self):
         rows = source_policy_ablation(rounds=ROUNDS)

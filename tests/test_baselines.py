@@ -166,3 +166,29 @@ class TestCentralizedBaseline:
             CoordinatorSpec(period=0)
         with pytest.raises(ValueError):
             CoordinatorSpec(pf=2.0)
+
+
+class TestEngineRefusal:
+    """A baseline's protocol lives in its ``update``; every engine but
+    ``reference`` drives the one-phase methods, which run the paper's
+    protocol, so ``make_engine`` refuses them whether they are named
+    by the argument or by ``REPRO_ENGINE``."""
+
+    @pytest.mark.parametrize("engine", ["incremental", "vectorized", "timed", "sharded"])
+    @pytest.mark.parametrize(
+        "cls, kind",
+        [
+            (UnsafeSystem, "the greedy baseline"),
+            (CentralizedSystem, "the centralized baseline"),
+        ],
+    )
+    def test_only_the_reference_engine_runs_a_baseline(
+        self, monkeypatch, cls, kind, engine
+    ):
+        refusal = rf"engine {engine!r} does not support {kind}; choose from \['reference'\]"
+        with pytest.raises(ValueError, match=refusal):
+            Simulator(make_corridor(cls), rounds=10, engine=engine)
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        with pytest.raises(ValueError, match=refusal):
+            Simulator(make_corridor(cls), rounds=10)
+        assert Simulator(make_corridor(cls), rounds=10, engine="reference").run()

@@ -397,6 +397,107 @@ class TestShardChaos:
             sim.system.cells[(i, j)].failed for i in range(6) for j in range(3, 6)
         )
 
+    # -- the death round itself ----------------------------------------
+
+    #: Faulting ``random_config`` seeds the death round is checked on.
+    DEATH_SEEDS = range(4)
+
+    @staticmethod
+    def reference_rounds(seed):
+        """The reference run of ``random_config(seed)``: each round's
+        canonical report and the canonical state after it."""
+        from repro.sim.simulator import build_simulation
+        from repro.testing.differential import (
+            canonical_report,
+            canonical_state,
+            random_config,
+        )
+
+        sim = build_simulation(random_config(seed), engine="reference")
+        rounds = []
+        for _ in range(sim.rounds):
+            report = canonical_report(sim.step())
+            rounds.append((report, canonical_state(sim.system)))
+        return rounds
+
+    @staticmethod
+    def kill_round(reference, district, phase):
+        """The first round >= 2 at which the reference changes a Route
+        value (``route``), or grants or blocks (``signal``), inside
+        ``district``: a round whose phase the coordinator's fallback
+        must compute for the district to match."""
+        for round_index, (report, _) in enumerate(reference):
+            if round_index < 2:
+                continue
+            if phase == "route":
+                touched = {*report["route.changed_dist"], *report["route.changed_next"]}
+            else:
+                touched = {g for g, _ in report["signal.granted"]}
+                touched.update(report["signal.blocked"])
+            if touched & district:
+                return round_index
+        raise AssertionError(f"the reference never changes {phase} in {sorted(district)}")
+
+    def death_round_divergence(self, seed, reference, shards, phase, skip=False):
+        """Kill shard 1's worker in ``phase`` at :meth:`kill_round` and
+        step a real fleet through that round; ``skip``: the coordinator's
+        fallback leaves the phase out. Returns the first round whose
+        report or state differs from the reference's, or None."""
+        from dataclasses import replace
+
+        from repro.core.route import RoutePhaseReport
+        from repro.core.signal import SignalPhaseReport
+        from repro.shard.partition import make_plan
+        from repro.testing.differential import (
+            canonical_report,
+            canonical_state,
+            random_config,
+        )
+        from tests.chaos import build_sharded_sim, shard_kill
+
+        config = replace(random_config(seed), shards=shards, engine="sharded")
+        sim = build_sharded_sim(config)
+        district = set(make_plan(sim.system.grid, shards, "rows").district(1).cells)
+        death = self.kill_round(reference, district, phase)
+        sim.engine.chaos = shard_kill(death, phase=phase)
+        if skip:
+            skipped = RoutePhaseReport if phase == "route" else SignalPhaseReport
+            setattr(sim.system, f"{phase}_cells", lambda cids: skipped())
+        try:
+            for round_index in range(death + 1):
+                report = canonical_report(sim.step())
+                if (report, canonical_state(sim.system)) != reference[round_index]:
+                    return round_index
+            [entry] = self.events(sim, "death")
+            assert (entry["round"], entry["phase"], entry["shard"]) == (death, phase, 1)
+            return None
+        finally:
+            sim.engine.close()
+
+    @pytest.mark.parametrize("phase", ["route", "signal"])
+    def test_death_round_is_state_identical_to_the_reference(self, phase):
+        """The coordinator computes a dead district's phase with the
+        loops the workers run, so the round a worker dies in matches a
+        run without the death, report and state."""
+        for seed in self.DEATH_SEEDS:
+            reference = self.reference_rounds(seed)
+            for shards in (2, 4):
+                divergence = self.death_round_divergence(seed, reference, shards, phase)
+                assert divergence is None, (seed, shards, divergence)
+
+    @pytest.mark.parametrize("phase", ["route", "signal"])
+    def test_fallback_that_skips_the_phase_is_caught(self, phase):
+        """MUTANT: the coordinator's fallback leaves the dead district's
+        Route (Signal) out. The kill round is one where the reference
+        changes that phase inside the district, so every run catches it."""
+        for seed in self.DEATH_SEEDS:
+            reference = self.reference_rounds(seed)
+            for shards in (2, 4):
+                divergence = self.death_round_divergence(
+                    seed, reference, shards, phase, skip=True
+                )
+                assert divergence is not None, (seed, shards)
+
     def test_repeated_kill_consumes_budget_then_degrades(self):
         from tests.chaos import build_sharded_sim, shard_kill
 

@@ -2,10 +2,11 @@
 
 A worker re-evaluates Route and Signal only on the district cells whose
 inputs could have changed (:mod:`repro.core.dirty`), learning about
-out-of-district changes by comparing each round's rim ghosts with the
-previous round's. A dropped rule does not crash anything: it leaves a
-cell stale, and the round drifts from the reference. These tests plant
-each worker-side rule's removal and require the lockstep to notice.
+out-of-district changes by comparing each round's rim ghosts with what
+its rim cells held, which then take the new values. A dropped rule does
+not crash anything: it leaves a cell stale, and the round drifts from
+the reference. These tests plant each worker-side rule's removal, and
+rim cells that are never refreshed, and require the lockstep to notice.
 
 Worker processes cannot be monkeypatched, so the fleet here runs in the
 test process: ``ShardCoordinator._spawn`` is replaced by one that builds
@@ -212,6 +213,23 @@ class _IgnoreRimSignalWorker(DistrictWorker):
         pass
 
 
+class _FrozenRimWorker(DistrictWorker):
+    """MUTANT: the rim cells keep the values of the first ghosts the
+    worker received, so the district's Route and Signal read a
+    neighborhood that has since changed (the ghost comparisons still
+    wake the right cells)."""
+
+    def _refresh_rim_dists(self, ghosts):
+        if not getattr(self, "_rim_dists_frozen", False):
+            super()._refresh_rim_dists(ghosts)
+            self._rim_dists_frozen = True
+
+    def _refresh_rim_signal(self, ghosts):
+        if not getattr(self, "_rim_signal_frozen", False):
+            super()._refresh_rim_signal(ghosts)
+            self._rim_signal_frozen = True
+
+
 class _NoHotRuleWorker(DistrictWorker):
     """MUTANT: a cell that granted or blocked is not re-evaluated next
     round, so its token never rotates and a blocked neighbor is never
@@ -256,8 +274,9 @@ def test_worker_deaf_to_relocation_is_caught(monkeypatch):
         _IgnoreRimSignalWorker,
         _NoHotRuleWorker,
         _NoMemberSyncMarkingWorker,
+        _FrozenRimWorker,
     ],
-    ids=["rim-dist", "rim-next-nonempty", "hot-rule", "member-sync"],
+    ids=["rim-dist", "rim-next-nonempty", "hot-rule", "member-sync", "frozen-rim"],
 )
 def test_dropped_worker_rule_is_caught(monkeypatch, mutant):
     use_in_process_fleet(monkeypatch, mutant)
