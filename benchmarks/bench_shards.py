@@ -5,8 +5,11 @@ engine, which skips the same quiescent cells in one process.
 Each district worker re-evaluates only its dirty cells (the rules of
 ``repro.core.dirty``) and replies with changes only, so on this
 corridor a round's work follows the few cells that change, not the
-grid's area. What remains is coordination: three pickled exchanges per
-shard per round, full-rim ghosts, and the coordinator's global merge.
+grid's area. What remains is coordination: a pickled signal exchange
+per shard per round, a route exchange only for a district whose Route
+has work, full-rim ghosts, and the coordinator's global merge. Each
+sharded leg records ``requests_per_shard_round``, the requests counted
+at ``ShardChannel.post`` over its timed window per shard and round.
 ``vs_reference`` says what sharding buys over the full sweep;
 ``vs_incremental`` says what the coordination costs against the engine
 that does the same per-cell work with none of it. The committed
@@ -41,6 +44,7 @@ from conftest import run_once
 from bench_engine import REPO_ROOT
 from bench_vectorized import scaling_config
 
+from repro.shard.channel import ShardChannel
 from repro.sim.simulator import build_simulation
 
 GRID_SIZES = (64, 256)
@@ -65,22 +69,35 @@ def _timed_steps(n: int, engine: str, shards=None) -> dict:
         config = replace(config, shards=shards)
     simulator = build_simulation(config, engine=engine)
     stepper = simulator.engine
+    post = ShardChannel.post
+    requests = 0
+
+    def counting_post(channel, kind, payload):
+        nonlocal requests
+        requests += 1
+        post(channel, kind, payload)
+
     try:
         stepper.step()  # spawn the fleet / warm the engine outside the clock
         rounds = budget - 1
+        ShardChannel.post = counting_post
         start = time.perf_counter()
         for _ in range(rounds):
             stepper.step()
         elapsed = time.perf_counter() - start
-        return {
-            "engine": engine if shards is None else f"{engine}@{shards}",
-            "rounds": rounds,
-            "seconds": elapsed,
-            "rounds_per_sec": rounds / elapsed,
-            "consumed": simulator.system.total_consumed,
-        }
     finally:
+        ShardChannel.post = post
         stepper.close()
+    leg = {
+        "engine": engine if shards is None else f"{engine}@{shards}",
+        "rounds": rounds,
+        "seconds": elapsed,
+        "rounds_per_sec": rounds / elapsed,
+        "consumed": simulator.system.total_consumed,
+    }
+    if shards is not None:
+        leg["requests_per_shard_round"] = requests / (rounds * shards)
+    return leg
 
 
 def _grid_entry(n: int) -> dict:
@@ -134,7 +151,8 @@ def test_shard_scaling(benchmark, results_dir):
             print(
                 f"  sharded@{leg['shards']}: {leg['rounds_per_sec']:.1f} r/s "
                 f"({leg['vs_reference']:.2f}x reference, "
-                f"{leg['vs_incremental']:.2f}x incremental)"
+                f"{leg['vs_incremental']:.2f}x incremental, "
+                f"{leg['requests_per_shard_round']:.2f} requests/shard/round)"
             )
 
     one_shard = ratios[(ONE_SHARD_GATE_GRID, 1)]

@@ -50,7 +50,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.cell import (
     DIST_SENTINEL,
@@ -73,6 +84,22 @@ from repro.grid.topology import CellId, Grid
 from repro.multiflow import MULTIFLOW_ENGINES
 from repro.multiflow.commodities import Commodity, CommodityTable
 from repro.multiflow.workload import WorkloadProfile, resolve_workload
+
+
+class _LiveCommodityDists:
+    """One commodity's *current* effective dists in the integer
+    embedding (the core ``LiveDistView``, per commodity): a holder that
+    evaluates a few cells converts each neighbor's dist as it reads it."""
+
+    __slots__ = ("_cells", "_name")
+
+    def __init__(self, cells: Mapping[CellId, "MultiCommodityCellState"], name: str):
+        self._cells = cells
+        self._name = name
+
+    def __getitem__(self, cid: CellId) -> int:
+        state = self._cells[cid]
+        return DIST_SENTINEL if state.failed else dist_to_int(state.dists[self._name])
 
 
 def commodity_of(entity: Entity) -> str:
@@ -241,7 +268,7 @@ class MultiCommoditySystem:
         """One synchronous round: Route; Signal; Move; production."""
         return run_round(
             self,
-            lambda: self.route_cells(self.cells),
+            lambda: self.route_cells(self.cells, self._int_dist_snapshots()),
             lambda route: self.signal_cells(self.cells),
             lambda signal: self.move_cells(self.movers()),
         )
@@ -252,24 +279,54 @@ class MultiCommoditySystem:
 
     # -- Route ---------------------------------------------------------
 
-    def route_cells(self, cids: Iterable[CellId]) -> RoutePhaseReport:
+    def _int_dist_snapshots(self) -> Dict[str, Dict[CellId, int]]:
+        """Every commodity's effective dists in the integer embedding,
+        each converted once: the pre-phase snapshot a full Route sweep
+        reads (the core ``int_dist_snapshot``, per commodity)."""
+        return {
+            commodity.name: {
+                cid: DIST_SENTINEL
+                if state.failed
+                else dist_to_int(state.dists[commodity.name])
+                for cid, state in self.cells.items()
+            }
+            for commodity in self.table
+        }
+
+    def route_cells(
+        self,
+        cids: Iterable[CellId],
+        dists: Optional[Mapping[str, Mapping[CellId, int]]] = None,
+    ) -> RoutePhaseReport:
         """Route at ``cids`` (row-major) for every commodity, computing
         every result before writing any (the Jacobi step of the core
         ``System.route_cells``). A cell is reported once when any of its
-        commodities' dist (next) changed."""
+        commodities' dist (next) changed.
+
+        ``dists`` maps each commodity to its neighbors' effective dists
+        in the integer embedding. The full sweep passes a snapshot; by
+        default (the incremental engine's dirty sets) each dist is
+        converted as it is read.
+        """
         cells = self.cells
         commodities = [
-            (index, c.name, c.target) for index, c in enumerate(self.table)
+            (
+                index,
+                c.name,
+                c.target,
+                _LiveCommodityDists(cells, c.name) if dists is None else dists[c.name],
+            )
+            for index, c in enumerate(self.table)
         ]
         updates = []
         for cid in cids:
             cell = cells[cid]
             if cell.failed:
                 continue
-            for index, name, target in commodities:
+            for index, name, target, view in commodities:
                 if cid == target:
                     continue
-                new_dist, new_next = self._route_step(index, cid, name)
+                new_dist, new_next = self._route_step(index, cid, view)
                 if new_dist != cell.dists[name] or new_next != cell.nexts[name]:
                     updates.append((cell, name, new_dist, new_next))
         changed_dist: Dict[CellId, None] = {}
@@ -286,24 +343,20 @@ class MultiCommoditySystem:
         )
 
     def _route_step(
-        self, commodity_index: int, cid: CellId, name: str
+        self, commodity_index: int, cid: CellId, dists: Mapping[CellId, int]
     ) -> Tuple[float, Optional[CellId]]:
-        """One relaxation of commodity ``name`` (at ``commodity_index``
-        in the table) with the ``(dist, commodity, cell)`` tie-break.
+        """One relaxation of the commodity at ``commodity_index`` in the
+        table, with the ``(dist, commodity, cell)`` tie-break.
 
-        Reads each neighbor's ``failed`` flag and ``dists[name]``
-        directly, in ascending identifier order, converting the dist to
-        the exact integral embedding (``dist_to_int``) as it is read, so
-        the minimum and the tie set are computed without float ``==``.
+        Reads each neighbor's effective dist in the exact integral
+        embedding from ``dists`` (failed cells at the sentinel), in
+        ascending identifier order, so the minimum and the tie set are
+        computed without float ``==``.
         """
-        cells = self.cells
         best = DIST_SENTINEL
         ties: List[CellId] = []
         for nbr in self.grid.neighbors_by_id(cid):
-            state = cells[nbr]
-            if state.failed:
-                continue
-            dist = dist_to_int(state.dists[name])
+            dist = dists[nbr]
             if dist < best:
                 best = dist
                 ties = [nbr]

@@ -183,8 +183,9 @@ METRIC_NAMES: Dict[str, Dict[str, str]] = {
     },
     "shard.respawn_rounds": {
         "kind": "histogram",
-        "description": "rounds from a shard respawn until the Route phase "
-        "is quiescent again (the Lemma 6 healing horizon, observed)",
+        "description": "rounds from a shard respawn until a round's Route "
+        "changes no cell of the healed district (the Lemma 6 healing "
+        "horizon, observed)",
     },
     "channel.retries": {
         "kind": "counter",

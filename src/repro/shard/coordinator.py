@@ -2,55 +2,68 @@
 
 The coordinator owns the **authoritative** :class:`~repro.core.system.System`
 — the same object monitors, metrics, traces and the lockstep harness
-observe — and drives one round as three exchanges with the shard fleet:
+observe — and drives one round as at most two request/reply exchanges
+with each district's worker:
 
-1. **route**: ship each live shard the live target ``tid``, its rim's
-   pre-round effective dists, and any fail/recover/relocate events and
-   membership resyncs for its own cells (a target relocation is a
-   ``relocate`` event for each of the old and the new target's
-   districts); each worker runs the core Route loop on its district's
-   dirty cells (:mod:`repro.core.dirty`) and returns the cells whose
-   ``dist`` or ``next`` changed. The coordinator sorts the merged
-   results into global row-major order and applies them through the
-   reference's ``write_route`` — producing the exact
-   ``RoutePhaseReport`` the reference sweep would, since applying
-   records only real changes.
-2. **signal**: ship post-Route rim ``(next, nonempty)`` ghosts; workers
-   run the core Signal loop over their pending cells (mutating their
-   own token/signal state) and return value updates plus their slice
-   of the grant report; again merged row-major. A live cell no worker
-   evaluated holds ``(NEPrev, token, signal) = (empty, bot, bot)``,
-   which is what the reference sweep would write.
+1. **route**, only when the district needs it: ship the shard the live
+   target ``tid`` and its rim's pre-round effective dists; the worker
+   runs the core Route loop on its district's dirty cells
+   (:mod:`repro.core.dirty`) and returns the cells whose ``dist`` or
+   ``next`` changed. The coordinator sorts the merged results into
+   global row-major order and applies them through the reference's
+   ``write_route`` — producing the exact ``RoutePhaseReport`` the
+   reference sweep would, since applying records only real changes.
+   Every reply says whether the worker's Route-dirty set is empty. A
+   district is not asked when its last reply said so, no
+   fail/recover/relocate event is queued for it, and every rim dist
+   equals the one last sent: its worker would evaluate no cell, so it
+   counts as having replied with no updates (the dirty rule, lifted to
+   the district).
+2. **signal**, every round: ship post-Route rim ``(next, nonempty)``
+   ghosts; workers run the core Signal loop over their pending cells
+   (mutating their own token/signal state) and return value updates
+   plus their slice of the grant report; again merged row-major. A live
+   cell no worker evaluated holds ``(NEPrev, token, signal) = (empty,
+   bot, bot)``, which is what the reference sweep would write.
 3. Move runs **coordinator-side** (on the movers derived from the
    merged grant report, exactly like the incremental engine), as does
-   source production — one global RNG stream, unsplittable. A
-   **commit** message then replays each district's slice of the
-   outcome (translations, transfers, produced entities) on its worker.
+   source production — one global RNG stream, unsplittable. Each live
+   district's slice of the outcome (translations, transfers, produced
+   entities) is stored on its handle.
 
-:func:`~repro.core.system.run_round` assembles the three phases and
-production into the round, with the commit as its production hook.
+Everything queued for a worker rides at the head of the next request it
+receives (``route``, ``signal`` or ``audit``): the last round's slice,
+then the fail/recover/relocate events for its own cells (a target
+relocation is a ``relocate`` event for each of the old and the new
+target's districts), then the membership resyncs. The worker applies
+the queue first, in that order. A respawn drops the queue: the init
+snapshot already holds it.
+
+:func:`~repro.core.system.run_round` assembles the phases and
+production into the round, with the slicing as its production hook.
 Because every phase merge is applied to the authoritative state in the
 reference's own order by the reference's own rules, the round is
 byte-identical to the reference engine for *any* shard count — the
 property ``tests/test_shard_engine.py`` proves over the 26-seed faulting
 matrix.
 
-**Healing.** A shard that dies mid-round (worker exit, heartbeat
-timeout, unrecoverable channel corruption) does not corrupt the round:
-the coordinator finishes the missing phases *locally*, running
-``System.route_cells`` / ``signal_cells`` — the loops the workers run —
-on the district over authoritative state before it applies the other
-replies, so the death round itself is state-identical to a run without
-the death.
+**Healing.** A shard that dies (worker exit, heartbeat timeout,
+unrecoverable channel corruption) is found at its next exchange and
+does not corrupt the round: the coordinator finishes the missing phases
+*locally*, running ``System.route_cells`` / ``signal_cells`` — the
+loops the workers run — on the district over authoritative state before
+it applies the other replies, so the death round itself is
+state-identical to a run without the death.
 The fault semantics land at the next round boundary — a legal
 environment-transition point, the same place the fault injector acts:
 every cell of the dead district is ``fail()``-ed, neighbors observe the
 crash through the standard masking and re-route around it (Lemma 6),
 and after ``heal_delay`` rounds the shard is respawned from an
-authoritative snapshot, its cells recovered, and re-stabilization is
-watched against the ``O(h)`` horizon. When the respawn budget is
-exhausted the shard degrades permanently: its district stays failed and
-the coordinator simulates any recovered stragglers inline, the run
+authoritative snapshot, its cells recovered, and the district is
+watched until a round changes none of its cells' ``dist`` or ``next``,
+against the ``O(h)`` horizon. When the respawn budget is exhausted the
+shard degrades permanently: its district stays failed and the
+coordinator simulates any recovered stragglers inline, the run
 completes, and the engine reports ``degraded=True`` plus the full
 healing log. See docs/sharding.md for the state machine.
 """
@@ -83,9 +96,12 @@ from repro.shard.partition import ShardPlan
 from repro.shard.worker import entity_to_wire
 from repro.sim.supervisor import RetryPolicy
 
+#: What a district left out of a route exchange counts as having replied.
+_NO_UPDATES: Dict[str, Any] = {"updates": ()}
+
 
 class _ShardHandle:
-    """One shard's process, channel, and lifecycle bookkeeping."""
+    """One shard's process, channel, queue and lifecycle bookkeeping."""
 
     __slots__ = (
         "shard_id",
@@ -95,8 +111,11 @@ class _ShardHandle:
         "status",
         "process",
         "channel",
+        "pending_slice",
         "pending_events",
         "pending_member_sync",
+        "route_quiet",
+        "sent_dists",
         "cells_failed",
         "failed_by_us",
         "respawn_round",
@@ -112,13 +131,24 @@ class _ShardHandle:
         self.status: str = "live"  # live | dead | degraded
         self.process: Optional[subprocess.Popen] = None
         self.channel: Optional[ShardChannel] = None
-        self.pending_events: List[Tuple[str, CellId]] = []
-        self.pending_member_sync: Set[CellId] = set()
         self.cells_failed: bool = False
         self.failed_by_us: Set[CellId] = set()
         self.respawn_round: Optional[int] = None
         self.respawns_used: int = 0
         self.watch_start: Optional[int] = None
+        self.clear_queue()
+
+    def clear_queue(self) -> None:
+        """Forget what the worker was to be told, and what it last said:
+        a new worker starts from a snapshot that holds it all."""
+        #: The last round's Move and production slice, if it touched the district.
+        self.pending_slice: Optional[Tuple[List, List, List]] = None
+        self.pending_events: List[Tuple[str, CellId]] = []
+        self.pending_member_sync: Set[CellId] = set()
+        #: The last reply said the worker's Route-dirty set is empty.
+        self.route_quiet: bool = False
+        #: The rim dists the last route request carried, in rim order.
+        self.sent_dists: Optional[List[float]] = None
 
 
 class ShardCoordinator:
@@ -201,7 +231,7 @@ class ShardCoordinator:
             self._route_phase,
             self._signal_phase,
             self._move_phase,
-            self._commit_phase,
+            self._queue_slices,
         )
         self._watch_stabilization(report.round_index, report.route)
         return report
@@ -214,21 +244,15 @@ class ShardCoordinator:
         system = self.system
         cells = system.cells
 
-        def payload(handle: _ShardHandle) -> Dict[str, Any]:
-            events, handle.pending_events = handle.pending_events, []
-            sync, handle.pending_member_sync = handle.pending_member_sync, set()
+        def payload(handle: _ShardHandle) -> Optional[Dict[str, Any]]:
+            dists = [effective_dist(cells[cid]) for cid in handle.rim]
+            if self._skips_route(handle, dists):
+                return None
+            handle.sent_dists = dists
             return {
                 "round": system.round_index,
                 "tid": system.tid,
-                "events": events,
-                "member_sync": {
-                    cid: [
-                        entity_to_wire(cells[cid].members[uid])
-                        for uid in sorted(cells[cid].members)
-                    ]
-                    for cid in sync
-                },
-                "ghosts": {cid: effective_dist(cells[cid]) for cid in handle.rim},
+                "ghosts": dict(zip(handle.rim, dists)),
             }
 
         results = self._gather("route", payload)
@@ -247,6 +271,17 @@ class ShardCoordinator:
             report.changed_dist.sort(key=_row_major)
             report.changed_next.sort(key=_row_major)
         return report
+
+    @staticmethod
+    def _skips_route(handle: _ShardHandle, dists: List[float]) -> bool:
+        """The district's Route would evaluate no cell: its worker's
+        dirty set is empty, no fail/recover/relocate event is queued for
+        it, and no rim dist changed since the last route request."""
+        return (
+            handle.route_quiet
+            and not handle.pending_events
+            and dists == handle.sent_dists
+        )
 
     def _signal_phase(self, route_report: RoutePhaseReport) -> SignalPhaseReport:
         system = self.system
@@ -300,89 +335,123 @@ class ShardCoordinator:
         return report
 
     def _stand_in_cells(self, results: Dict[int, Dict[str, Any]]) -> List[CellId]:
-        """The cells of every district that did not reply this phase,
-        whose queued events and member syncs are dropped: the
-        coordinator computes those cells from its own state."""
+        """The cells of every district that did not reply this phase:
+        the coordinator computes those cells from its own state."""
         cells: List[CellId] = []
         for handle in self._handles:
             if handle.shard_id not in results:
-                handle.pending_events = []
-                handle.pending_member_sync = set()
                 cells.extend(handle.district)
         return cells
 
     def _move_phase(self, signal_report: SignalPhaseReport) -> MovePhaseReport:
         """Move on the authoritative state, from the merged grant report
         (``movers_from_grants``, as the incremental engine does); the
-        movers and the report are kept for the commit."""
+        movers and the report are kept for the districts' slices."""
         movers = movers_from_grants(signal_report.granted)
         self._moves = (movers, self.system.move_cells(movers))
         return self._moves[1]
 
-    def _commit_phase(self, produced) -> None:
-        """Replay each district's slice of this round's Move and
-        production on its worker."""
+    def _queue_slices(self, produced) -> None:
+        """Queue each live district's slice of this round's Move and
+        production (movers with the uids they lost, incoming entities,
+        produced entities) for the head of its worker's next request."""
         system = self.system
+        owner = self.plan.owner
         movers, move_report = self._moves
+        slices: Dict[int, Tuple[List, List, List]] = {}
+
+        def slice_of(cid: CellId) -> Tuple[List, List, List]:
+            shard = owner(cid)
+            if shard not in slices:
+                slices[shard] = ([], [], [])
+            return slices[shard]
+
         removed_by_src: Dict[CellId, List[int]] = {}
         for transfer in move_report.transfers:
             removed_by_src.setdefault(transfer.src, []).append(transfer.uid)
-        mover_wire = [
-            (cid, direction_between(cid, nxt), removed_by_src.get(cid, []))
-            for cid, nxt in movers
-        ]
-        incoming = [
-            (t.dst, entity_to_wire(system.cells[t.dst].members[t.uid]))
-            for t in move_report.transfers
-            if not t.consumed
-        ]
-        produced_wire = [(e.cell, entity_to_wire(e)) for e in produced]
-
-        def payload(handle: _ShardHandle) -> Dict[str, Any]:
-            inside = handle.district_set
-            return {
-                "round": system.round_index,
-                "movers": [m for m in mover_wire if m[0] in inside],
-                "incoming": [x for x in incoming if x[0] in inside],
-                "produced": [x for x in produced_wire if x[0] in inside],
-            }
-
-        self._gather("commit", payload)
+        for cid, nxt in movers:
+            slice_of(cid)[0].append(
+                (cid, direction_between(cid, nxt), removed_by_src.get(cid, []))
+            )
+        for t in move_report.transfers:
+            if not t.consumed:
+                wire = entity_to_wire(system.cells[t.dst].members[t.uid])
+                slice_of(t.dst)[1].append((t.dst, wire))
+        for entity in produced:
+            slice_of(entity.cell)[2].append((entity.cell, entity_to_wire(entity)))
+        for shard, part in slices.items():
+            handle = self._handles[shard]
+            if handle.status == "live":
+                handle.pending_slice = part
 
     # ------------------------------------------------------------------
     # Fleet exchange
     # ------------------------------------------------------------------
 
+    def _take_queue(self, handle: _ShardHandle) -> Dict[str, Any]:
+        """Everything queued for ``handle``'s worker, as the head of its
+        next request: the last round's slice, the fail/recover/relocate
+        events (with the live ``tid``), the membership resyncs. The
+        queue restarts empty."""
+        head: Dict[str, Any] = {}
+        if handle.pending_slice is not None:
+            head["slice"], handle.pending_slice = handle.pending_slice, None
+        if handle.pending_events:
+            head["events"], handle.pending_events = handle.pending_events, []
+            head["tid"] = self.system.tid
+        if handle.pending_member_sync:
+            cells = self.system.cells
+            head["member_sync"] = {
+                cid: [
+                    entity_to_wire(cells[cid].members[uid])
+                    for uid in sorted(cells[cid].members)
+                ]
+                for cid in handle.pending_member_sync
+            }
+            handle.pending_member_sync = set()
+        return head
+
     def _gather(
-        self, kind: str, build_payload: Callable[[_ShardHandle], Dict[str, Any]]
+        self,
+        kind: str,
+        build_payload: Callable[[_ShardHandle], Optional[Dict[str, Any]]],
     ) -> Dict[int, Dict[str, Any]]:
         """Post ``kind`` to every live shard, then collect the replies.
 
-        A shard whose exchange fails is transitioned to ``dead`` (its
-        process reaped, death scheduled for the next round boundary) and
-        simply omitted from the result — the caller's fallback covers
-        it. Posting everything before collecting anything lets district
-        sweeps run concurrently.
+        ``build_payload`` returns a shard's phase payload, or ``None`` to
+        leave the shard out: it counts as having replied with no
+        updates. Each posted request carries the shard's queue at its
+        head, and each reply updates ``route_quiet``. A shard whose
+        exchange fails is transitioned to ``dead`` (its process reaped,
+        death scheduled for the next round boundary) and simply omitted
+        from the result — the caller's fallback covers it. Posting
+        everything before collecting anything lets district sweeps run
+        concurrently.
         """
         results: Dict[int, Dict[str, Any]] = {}
         posted: List[_ShardHandle] = []
         for handle in self._handles:
             if handle.status != "live":
                 continue
+            payload = build_payload(handle)
+            if payload is None:
+                results[handle.shard_id] = _NO_UPDATES
+                continue
             try:
                 assert handle.channel is not None
-                handle.channel.post(kind, build_payload(handle))
+                handle.channel.post(kind, {**self._take_queue(handle), **payload})
                 posted.append(handle)
             except ChannelError as exc:
                 self._shard_failed(handle, kind, exc)
         for handle in posted:
-            if handle.status != "live":
-                continue
             try:
                 assert handle.channel is not None
-                results[handle.shard_id] = handle.channel.collect()
+                reply = handle.channel.collect()
             except ChannelError as exc:
                 self._shard_failed(handle, kind, exc)
+                continue
+            handle.route_quiet = reply["route_quiet"]
+            results[handle.shard_id] = reply
         return results
 
     def _shard_failed(self, handle: _ShardHandle, phase: str, exc: ChannelError) -> None:
@@ -468,11 +537,16 @@ class ShardCoordinator:
     def _watch_stabilization(
         self, round_index: int, route_report: RoutePhaseReport
     ) -> None:
+        """A healed district is stable again at the first round whose
+        Route changes none of its cells' ``dist`` or ``next``."""
+        changed: Optional[Set[CellId]] = None
         for handle in self._handles:
             if handle.watch_start is None:
                 continue
+            if changed is None:
+                changed = {*route_report.changed_dist, *route_report.changed_next}
             rounds = round_index - handle.watch_start
-            if route_report.quiescent:
+            if changed.isdisjoint(handle.district_set):
                 self._observe("shard.respawn_rounds", rounds)
                 self._log(
                     {
@@ -510,29 +584,11 @@ class ShardCoordinator:
                 self._spawn(handle)
 
     def _spawn(self, handle: _ShardHandle) -> None:
+        """Start a worker for ``handle`` from an authoritative snapshot of
+        its district, which already holds everything queued for it."""
         system = self.system
-        parent_sock, child_sock = socket.socketpair()
-        try:
-            child_fd = child_sock.fileno()
-            handle.process = subprocess.Popen(
-                [sys.executable, "-m", "repro.shard._worker_main", str(child_fd)],
-                pass_fds=(child_fd,),
-                env=self._child_env(),
-                close_fds=True,
-            )
-        finally:
-            child_sock.close()
-        from multiprocessing.connection import Connection
-
-        conn = Connection(parent_sock.detach())
-        handle.channel = ShardChannel(
-            conn,
-            handle.shard_id,
-            retry=self.retry,
-            timeout=self.timeout,
-            sleep=self.sleep,
-            metrics=self.metrics,
-        )
+        handle.clear_queue()
+        handle.channel = self._open_channel(handle)
         init = {
             "width": system.grid.width,
             "height": system.grid.height,
@@ -546,6 +602,30 @@ class ShardCoordinator:
             "chaos": self.chaos.get(handle.shard_id),
         }
         handle.channel.request("init", init, timeout=self.init_timeout)
+
+    def _open_channel(self, handle: _ShardHandle) -> ShardChannel:
+        """Start ``handle``'s worker process; the channel to it."""
+        parent_sock, child_sock = socket.socketpair()
+        try:
+            child_fd = child_sock.fileno()
+            handle.process = subprocess.Popen(
+                [sys.executable, "-m", "repro.shard._worker_main", str(child_fd)],
+                pass_fds=(child_fd,),
+                env=self._child_env(),
+                close_fds=True,
+            )
+        finally:
+            child_sock.close()
+        from multiprocessing.connection import Connection
+
+        return ShardChannel(
+            Connection(parent_sock.detach()),
+            handle.shard_id,
+            retry=self.retry,
+            timeout=self.timeout,
+            sleep=self.sleep,
+            metrics=self.metrics,
+        )
 
     def _child_env(self) -> Dict[str, str]:
         """Child environment with the package root on PYTHONPATH, so the
@@ -585,14 +665,16 @@ class ShardCoordinator:
 
     def audit(self) -> Dict[int, bool]:
         """Ask each live worker for its district digest and compare it to
-        the authoritative state; returns shard_id -> in_sync."""
+        the authoritative state; returns shard_id -> in_sync. The worker
+        applies its queue first, so the digest covers the last round."""
         from repro.shard.worker import district_digest
 
         verdicts: Dict[int, bool] = {}
         for handle in self._handles:
             if handle.status != "live" or handle.channel is None:
                 continue
-            reply = handle.channel.request("audit", {})
+            reply = handle.channel.request("audit", self._take_queue(handle))
+            handle.route_quiet = reply["route_quiet"]
             expected = district_digest(self.system.cells, handle.district)
             verdicts[handle.shard_id] = reply["digest"] == expected
         return verdicts

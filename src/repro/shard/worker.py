@@ -3,28 +3,36 @@
 The worker holds the :class:`~repro.core.cell.CellState` of its district
 cells (entities included) and runs the core Route and Signal loops
 (:func:`~repro.core.route.route_cells`,
-:func:`~repro.core.signal.signal_cells`) over them each round — the
-loops of the reference and incremental engines. It reads each out-of-district neighbor through
-a :class:`RimCell`, refreshed from the per-round *ghost* values the
-coordinator sends (effective ``dist`` before Route; effective
-``next``/nonemptiness before Signal). Move is computed by the
-coordinator from the merged grant report; the worker replays its
-district's slice of the outcome (translations, boundary transfers,
-produced entities) from the commit message, using the same IEEE float
-operations, so its mirror stays bitwise identical to the coordinator's
+:func:`~repro.core.signal.signal_cells`) over them — the loops of the
+reference and incremental engines. It reads each out-of-district
+neighbor through a :class:`RimCell`, refreshed from the *ghost* values
+the coordinator sends (effective ``dist`` with a route request;
+effective ``next``/nonemptiness with a signal request). Move is
+computed by the coordinator from the merged grant report; the worker
+replays its district's slice of the outcome (translations, boundary
+transfers, produced entities), using the same IEEE float operations,
+so its mirror stays bitwise identical to the coordinator's
 authoritative state.
+
+Each request may carry the worker's queue at its head: the last
+round's slice, then fail/recover/relocate events with the live ``tid``,
+then membership resyncs (``member_sync``). The worker applies them
+first, in that order, whatever the request's kind.
 
 A worker evaluates only its district's *dirty* cells: it keeps the
 incremental engine's per-phase dirty sets (:mod:`repro.core.dirty`,
 restricted to the district) and feeds every change it sees into the
 same rules — its own Route results, fail/recover/relocate events
 (the fault rule, as in the incremental engine), membership changes
-from commits and ``member_sync``, and ghosts that differ from what its
-rim cells held the round before. Route replies list only the cells
-whose ``dist`` or ``next`` changed; Signal replies list the evaluated
-cells.
+from slices and ``member_sync``, and ghosts that differ from what its
+rim cells held before. Route replies list only the cells whose
+``dist`` or ``next`` changed; Signal replies list the evaluated cells.
+Every reply says whether the Route-dirty set is empty
+(``route_quiet``): the coordinator sends no route request to a quiet
+district whose queue holds no event and whose rim dists are unchanged,
+since it would evaluate no cell.
 
-When a shard dies mid-round the coordinator finishes the round with
+When a shard dies the coordinator finishes the round with
 ``System.route_cells`` / ``signal_cells`` over its authoritative state:
 the same loops, which is why a death round is state-identical to a run
 without the death (docs/sharding.md).
@@ -33,8 +41,8 @@ Process protocol (``python -m repro.shard._worker_main <fd>``): a pickle-framed
 request loop over an inherited socketpair fd. Every request carries a
 ``seq``; the worker caches its last reply and answers a retransmitted
 ``seq`` from the cache without recomputing. An ``init`` request delivers
-the district snapshot; ``route``/``signal``/``commit`` drive the round
-phases; ``audit`` returns a canonical digest (tests); EOF means the
+the district snapshot; ``route``/``signal`` drive the round phases;
+``audit`` returns a canonical digest (tests); EOF means the
 coordinator is gone and the worker exits. Keep this module's import
 graph lean (``repro.core`` + grid only): worker startup cost is paid on
 every (re)spawn.
@@ -107,33 +115,6 @@ def apply_member_sync(
         cells[cid].members = {
             wire[0]: entity_from_wire(wire) for wire in wires
         }
-
-
-def apply_commit(
-    cells: Dict[CellId, CellState],
-    params: Parameters,
-    movers: Sequence[Tuple[CellId, Direction, Sequence[int]]],
-    incoming: Sequence[Tuple[CellId, Sequence]],
-    produced: Sequence[Tuple[CellId, Sequence]],
-) -> None:
-    """Replay the district slice of one Move + produce outcome.
-
-    ``movers`` lists district cells that moved, with the removed
-    (transferred or consumed) uids; translations reuse
-    ``Entity.translate`` so every float op matches ``apply_moves``
-    bitwise. ``incoming`` entities arrive with their post-snap
-    coordinates — the snap is never recomputed here.
-    """
-    for cid, toward, removed in movers:
-        state = cells[cid]
-        for entity in state.entities():
-            entity.translate(toward, params.v)
-        for uid in removed:
-            state.members.pop(uid, None)
-    for dst, wire in incoming:
-        cells[dst].add_entity(entity_from_wire(wire))
-    for dst, wire in produced:
-        cells[dst].add_entity(entity_from_wire(wire))
 
 
 def district_digest(
@@ -270,27 +251,70 @@ class DistrictWorker(DirtyCells):
         for cid in member_sync:
             self._mark_membership_change(cid)
 
+    def _apply_slice(
+        self,
+        movers: Sequence[Tuple[CellId, Direction, Sequence[int]]],
+        incoming: Sequence[Tuple[CellId, Sequence]],
+        produced: Sequence[Tuple[CellId, Sequence]],
+    ) -> None:
+        """Replay the district slice of one Move + produce outcome.
+
+        ``movers`` lists district cells that moved, with the removed
+        (transferred or consumed) uids; translations reuse
+        ``Entity.translate`` so every float op matches ``apply_moves``
+        bitwise. ``incoming`` entities arrive with their post-snap
+        coordinates — the snap is never recomputed here.
+        """
+        cells, v = self.cells, self.params.v
+        for cid, toward, removed in movers:
+            state = cells[cid]
+            for entity in state.entities():
+                entity.translate(toward, v)
+            for uid in removed:
+                state.members.pop(uid, None)
+            if removed:
+                self._mark_membership_change(cid)
+        for dst, wire in (*incoming, *produced):
+            cells[dst].add_entity(entity_from_wire(wire))
+            self._mark_membership_change(dst)
+
+    def _apply_queue(self, payload: Dict[str, Any]) -> None:
+        """The queue at a request's head, in order: the last round's
+        slice, the fail/recover/relocate events, the membership resyncs."""
+        if "slice" in payload:
+            self._apply_slice(*payload["slice"])
+        events = payload.get("events")
+        if events:
+            self.tid = payload["tid"]
+            apply_events(self.cells, self.tid, events)
+            for _, cid in events:
+                self._mark_fault_event(cid)
+        if "member_sync" in payload:
+            self._apply_member_sync(payload["member_sync"])
+
+    def _route_quiet(self) -> bool:
+        """No district cell is dirty for Route: a route request now
+        would evaluate nothing unless an event or a rim dist wakes one."""
+        return not self._route_dirty
+
     # -- request handlers ----------------------------------------------
 
     def handle(self, kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Dispatch one request frame to its phase handler."""
+        """Apply the request's queue, then dispatch it to its handler."""
+        self._apply_queue(payload)
         if kind == "route":
-            return self._handle_route(payload)
-        if kind == "signal":
-            return self._handle_signal(payload)
-        if kind == "commit":
-            return self._handle_commit(payload)
-        if kind == "audit":
-            return {"digest": district_digest(self.cells, self.district)}
-        raise ValueError(f"unknown request kind {kind!r}")
+            reply = self._handle_route(payload)
+        elif kind == "signal":
+            reply = self._handle_signal(payload)
+        elif kind == "audit":
+            reply = {"digest": district_digest(self.cells, self.district)}
+        else:
+            raise ValueError(f"unknown request kind {kind!r}")
+        reply["route_quiet"] = self._route_quiet()
+        return reply
 
     def _handle_route(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         self.tid = payload["tid"]
-        events = payload.get("events", ())
-        apply_events(self.cells, self.tid, events)
-        for _, cid in events:
-            self._mark_fault_event(cid)
-        self._apply_member_sync(payload.get("member_sync", {}))
         ghosts = payload["ghosts"]
         self._note_route_ghosts(ghosts)
         self._refresh_rim_dists(ghosts)
@@ -331,18 +355,6 @@ class DistrictWorker(DirtyCells):
             "blocked": report.blocked,
             "rotated": report.rotated,
         }
-
-    def _handle_commit(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        movers = payload.get("movers", ())
-        incoming = payload.get("incoming", ())
-        produced = payload.get("produced", ())
-        apply_commit(self.cells, self.params, movers, incoming, produced)
-        for cid, _, removed in movers:
-            if removed:
-                self._mark_membership_change(cid)
-        for dst, _ in (*incoming, *produced):
-            self._mark_membership_change(dst)
-        return {"ok": True}
 
 
 def serve(conn, sleep: Callable[[float], None] = time.sleep) -> None:

@@ -333,13 +333,92 @@ class TestShardChaos:
         assert stabilized["within_horizon"] is True
         assert stabilized["rounds"] <= stabilized["horizon"]
 
-    @pytest.mark.parametrize("phase", ["route", "signal", "commit"])
+    @pytest.mark.parametrize("phase", ["route", "signal"])
     def test_sigkill_mid_round_heals_within_horizon(self, phase):
         from tests.chaos import build_sharded_sim, shard_kill
 
         sim = build_sharded_sim(chaos=shard_kill(5, phase=phase))
         result = sim.run()
         self.assert_healed_clean(sim, result, phase)
+
+    @pytest.mark.parametrize(
+        "kill_round, first", [(10, "route"), (16, "signal")], ids=["route", "signal"]
+    )
+    def test_sigkill_between_rounds_with_slice_queued_heals(self, kill_round, first):
+        """A worker SIGKILLed between rounds, while the last round's
+        Move and production slice waits in its queue for the next
+        request, is found dead at that round's first exchange: route
+        while its district's Route still runs (round 10), signal once
+        the district is quiet and not asked for Route (round 16). The
+        round equals the reference's, the shard heals clean, and the
+        respawned worker's mirror audits in sync."""
+        from repro.sim.simulator import build_simulation
+        from repro.testing.differential import canonical_report, canonical_state
+        from tests.chaos import build_sharded_sim, shard_config
+
+        config = shard_config(rounds=45)
+        sim = build_sharded_sim(config)
+        reference = build_simulation(config, engine="reference")
+        try:
+            for round_index in range(config.rounds):
+                expected = canonical_report(reference.step())
+                if round_index == kill_round:
+                    handle = sim.engine.coordinator._handles[1]
+                    assert handle.pending_slice is not None
+                    handle.process.kill()
+                    handle.process.wait()
+                report = canonical_report(sim.step())
+                if round_index == kill_round:
+                    assert report == expected
+                    assert canonical_state(sim.system) == canonical_state(
+                        reference.system
+                    )
+            verdicts = sim.engine.coordinator.audit()
+        finally:
+            result = sim.summarize()
+        [death] = self.events(sim, "death")
+        assert (death["round"], death["reason"]) == (kill_round, "ChannelClosed")
+        self.assert_healed_clean(sim, result, first)
+        assert verdicts == {0: True, 1: True}
+
+    def test_healed_district_stabilizes_under_churn(self):
+        """Under background churn the whole grid's Route is never quiet,
+        so the watch looks at the healed district alone: it is stable at
+        the first round after the heal that changes none of its cells'
+        ``dist`` or ``next``, well inside the horizon."""
+        from repro.obs.instrument import ObservabilityConfig
+        from repro.sim.config import FaultSpec, SimulationConfig
+        from tests.chaos import PARAMS, build_sharded_sim, shard_kill
+
+        config = SimulationConfig(
+            grid_width=8,
+            params=PARAMS,
+            rounds=101,
+            tid=(6, 6),
+            sources=((0, 0), (0, 7)),
+            fault=FaultSpec(pf=0.02, pr=0.3),
+            seed=2,
+            engine="sharded",
+            shards=2,
+        )
+        sim = build_sharded_sim(
+            config,
+            chaos=shard_kill(30, phase="route"),
+            heal_delay=2,
+            observability=ObservabilityConfig(metrics=True),
+        )
+        result = sim.run()
+        [death] = self.events(sim, "death")
+        assert (death["round"], death["phase"]) == (30, "route")
+        [heal] = self.events(sim, "heal")
+        assert heal["round"] == 33
+        assert self.events(sim, "stabilization-overdue") == []
+        [stabilized] = self.events(sim, "stabilized")
+        assert stabilized["rounds"] == stabilized["round"] - heal["round"]
+        assert 0 < stabilized["rounds"] <= stabilized["horizon"] == 66
+        respawn_rounds = result.metrics["histograms"]["shard.respawn_rounds"]
+        assert respawn_rounds["count"] == 1
+        assert respawn_rounds["sum"] == stabilized["rounds"]
 
     def test_hang_past_heartbeat_is_a_death_then_heals(self):
         from tests.chaos import build_sharded_sim, shard_hang

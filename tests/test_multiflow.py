@@ -232,8 +232,9 @@ class TestSystem:
         for cid, cell in system.cells.items():
             cell.dists[name] = tied.get(cid, float("inf"))
 
+        dists = system._int_dist_snapshots()[name]
         picks = {
-            k: system._route_step(k, (1, 1), name)[1] for k in (0, 1)
+            k: system._route_step(k, (1, 1), dists)[1] for k in (0, 1)
         }
         assert set(picks.values()) == {(0, 1), (1, 0)}
         for _, pick in picks.items():

@@ -1,18 +1,22 @@
-"""District workers evaluate only dirty cells: planted worker bugs are caught.
+"""District workers evaluate only dirty cells: planted bugs are caught.
 
 A worker re-evaluates Route and Signal only on the district cells whose
 inputs could have changed (:mod:`repro.core.dirty`), learning about
 out-of-district changes by comparing each round's rim ghosts with what
-its rim cells held, which then take the new values. A dropped rule does
-not crash anything: it leaves a cell stale, and the round drifts from
-the reference. These tests plant each worker-side rule's removal, and
-rim cells that are never refreshed, and require the lockstep to notice.
+its rim cells held, which then take the new values. The coordinator
+lifts the Route rule to the district: it sends no route request to a
+worker whose last reply said its Route-dirty set is empty, while no
+event is queued for it and its rim dists are unchanged. A dropped rule
+does not crash anything: it leaves a cell stale, and the round drifts
+from the reference. These tests plant each worker-side rule's removal,
+rim cells that are never refreshed, and each way of skipping a route
+request that was needed, and require the lockstep to notice.
 
 Worker processes cannot be monkeypatched, so the fleet here runs in the
-test process: ``ShardCoordinator._spawn`` is replaced by one that builds
-the worker class under test behind a channel whose ``post`` /
-``collect`` / ``request`` / ``close`` call ``DistrictWorker.handle``
-directly, pickling each payload and reply as the socket would.
+test process: ``ShardCoordinator._open_channel`` is replaced by one
+that returns a channel whose ``post`` / ``collect`` / ``request`` /
+``close`` drive the worker class under test directly, pickling each
+payload and reply as the socket would.
 """
 
 from __future__ import annotations
@@ -71,23 +75,11 @@ class InProcessChannel:
 
 
 def use_in_process_fleet(monkeypatch, worker_class=DistrictWorker):
-    def spawn(coordinator, handle):
-        system = coordinator.system
-        handle.channel = InProcessChannel(worker_class)
-        handle.channel.request(
-            "init",
-            {
-                "width": system.grid.width,
-                "height": system.grid.height,
-                "tid": system.tid,
-                "params": system.params,
-                "policy": system.token_policy.clone(),
-                "district": list(handle.district),
-                "cells": {cid: system.cells[cid].clone() for cid in handle.district},
-            },
-        )
-
-    monkeypatch.setattr(ShardCoordinator, "_spawn", spawn)
+    monkeypatch.setattr(
+        ShardCoordinator,
+        "_open_channel",
+        lambda coordinator, handle: InProcessChannel(worker_class),
+    )
 
 
 def seed_cell(system):
@@ -247,13 +239,22 @@ class _NoMemberSyncMarkingWorker(DistrictWorker):
         apply_member_sync(self.cells, member_sync)
 
 
+class _QuietWhileDirtyWorker(DistrictWorker):
+    """MUTANT: every reply says the Route-dirty set is empty, so the
+    coordinator stops asking for Route while the district still holds
+    cells its last round's changes woke."""
+
+    def _route_quiet(self):
+        return True
+
+
 class _DeafToRelocationWorker(DistrictWorker):
     """MUTANT: ``relocate`` events are dropped, so the worker's mirror
     keeps the old target at dist 0 and never anchors the new one."""
 
-    def _handle_route(self, payload):
+    def _apply_queue(self, payload):
         events = [e for e in payload.get("events", ()) if e[0] != "relocate"]
-        return super()._handle_route({**payload, "events": events})
+        super()._apply_queue({**payload, "events": events})
 
 
 def test_worker_deaf_to_relocation_is_caught(monkeypatch):
@@ -275,12 +276,52 @@ def test_worker_deaf_to_relocation_is_caught(monkeypatch):
         _NoHotRuleWorker,
         _NoMemberSyncMarkingWorker,
         _FrozenRimWorker,
+        _QuietWhileDirtyWorker,
     ],
-    ids=["rim-dist", "rim-next-nonempty", "hot-rule", "member-sync", "frozen-rim"],
+    ids=[
+        "rim-dist",
+        "rim-next-nonempty",
+        "hot-rule",
+        "member-sync",
+        "frozen-rim",
+        "quiet-while-dirty",
+    ],
 )
 def test_dropped_worker_rule_is_caught(monkeypatch, mutant):
     use_in_process_fleet(monkeypatch, mutant)
     caught = [seed for seed in SEEDS if first_divergence(seed, mutant) is not None]
     assert caught == list(SEEDS), f"{mutant.__name__} passed seeds " + str(
+        sorted(set(SEEDS) - set(caught))
+    )
+
+
+# ----------------------------------------------------------------------
+# Mutants: the coordinator skips a route request that was needed
+# ----------------------------------------------------------------------
+
+
+def _skips_with_event_queued(handle, dists):
+    """MUTANT: a quiet district is not asked for Route although a
+    fail/recover/relocate event is queued for it; the event then rides
+    the signal request, a round late for Route."""
+    return handle.route_quiet and dists == handle.sent_dists
+
+
+def _skips_with_rim_dist_changed(handle, dists):
+    """MUTANT: a quiet district is not asked for Route although a rim
+    dist changed, so a distance wave stops at the district edge."""
+    return handle.route_quiet and not handle.pending_events
+
+
+@pytest.mark.parametrize(
+    "skips",
+    [_skips_with_event_queued, _skips_with_rim_dist_changed],
+    ids=["event-queued", "rim-dist-changed"],
+)
+def test_needed_route_request_skipped_is_caught(monkeypatch, skips):
+    use_in_process_fleet(monkeypatch)
+    monkeypatch.setattr(ShardCoordinator, "_skips_route", staticmethod(skips))
+    caught = [seed for seed in SEEDS if first_divergence(seed) is not None]
+    assert caught == list(SEEDS), f"{skips.__name__} passed seeds " + str(
         sorted(set(SEEDS) - set(caught))
     )

@@ -21,6 +21,7 @@ from repro.core.params import Parameters
 from repro.sim.config import FaultSpec, SimulationConfig
 from repro.sim.engine import ENGINES, make_engine
 from repro.sim.simulator import build_simulation
+from repro.shard.channel import ShardChannel
 from repro.shard.coordinator import ShardCoordinator
 from repro.shard.engine import ShardedEngine
 from repro.testing.differential import canonical_report, canonical_state, random_config
@@ -145,6 +146,37 @@ class TestWorkerSync:
         finally:
             sim_sharded.engine.close()
             sim_ref.engine.close()
+
+
+class TestFleetTraffic:
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_quiet_route_asks_each_shard_for_signal_only(self, monkeypatch, shards):
+        """Fault-free, once the Route phase has been quiet for a round,
+        every round posts exactly one ``signal`` request per live shard
+        and no ``route`` request; no ``commit`` request is ever posted
+        (a round's Move and production slice rides the next request)."""
+        posts = []
+        post = ShardChannel.post
+
+        def counting_post(channel, kind, payload):
+            posts[-1].append(kind)
+            post(channel, kind, payload)
+
+        monkeypatch.setattr(ShardChannel, "post", counting_post)
+        config = replace(random_config(100, faulting=False), shards=shards)
+        sim = build_simulation(config, engine="sharded")
+        quiet = []
+        try:
+            for _ in range(config.rounds):
+                posts.append([])
+                quiet.append(sim.step().route.quiescent)
+        finally:
+            sim.engine.close()
+        settled = max(index for index, flag in enumerate(quiet) if not flag) + 2
+        assert config.rounds - settled >= 20
+        assert all(kind != "commit" for kinds in posts for kind in kinds)
+        for round_index in range(settled, config.rounds):
+            assert posts[round_index] == ["signal"] * shards, round_index
 
 
 #: A relocation script on an 8x8 grid, whose row bands are j 0-3 | 4-7
