@@ -10,10 +10,12 @@ handful of whole-grid numpy operations:
   ``int64`` arrays (one slot per cell, row-major ``k = j * width + i``),
   with :data:`~repro.core.cell.DIST_SENTINEL` for ``dist = infinity``
   and :data:`NO_CELL` (= -1) for a bottom cell reference, plus boolean
-  ``failed`` and integer ``member_count`` arrays.
+  ``failed`` and integer ``member_count`` arrays, and Route's work buffers:
+  one sentinel-padded dist buffer and the four neighbor-id arrays,
+  allocated once.
 * :class:`EntityArrays` — entities packed as parallel ``(cell, x, y)``
-  arrays (uids alongside), the layout the sharded-district roadmap item
-  will shard by cell block.
+  arrays (uids alongside). Only its tests pack it today; an array-native
+  Move in the vectorized engine (ROADMAP item 2) would start from it.
 * :func:`route_relax` — the whole-grid Bellman-Ford relaxation of the
   paper's Route function (Figure 4) with the exact ``(dist, id)`` argmin
   tie-break of :func:`repro.core.route._route_step`.
@@ -24,10 +26,10 @@ The argmin trick: for any cell, its lattice neighbors sorted by
 identifier ``(i, j)`` tuple order are always WEST ``(i-1, j)`` < SOUTH
 ``(i, j-1)`` < NORTH ``(i, j+1)`` < EAST ``(i+1, j)`` — the first
 coordinate orders WEST before the ``i``-column before EAST, and within
-the column the second coordinate orders SOUTH before NORTH. Folding the
-four shifted neighbor grids in that fixed order with a strict ``<``
-therefore reproduces the smaller-identifier tie-break without ever
-materializing per-cell id lists.
+the column the second coordinate orders SOUTH before NORTH. Keeping the
+first of the four neighbor views that equals their minimum, in that
+fixed order, therefore reproduces the smaller-identifier tie-break
+without ever materializing per-cell id lists.
 
 numpy is a *soft* dependency: importing this module without numpy
 installed works (``HAVE_NUMPY`` is False) and only constructing the
@@ -84,6 +86,10 @@ class GridArrays:
         "signal",
         "failed",
         "member_count",
+        "padded_dist",
+        "neighbor_dists",
+        "ids",
+        "neighbor_ids",
     )
 
     def __init__(self, width: int, height: int):
@@ -97,6 +103,27 @@ class GridArrays:
         self.signal = np.full(self.size, NO_CELL, dtype=np.int64)
         self.failed = np.zeros(self.size, dtype=bool)
         self.member_count = np.zeros(self.size, dtype=np.int64)
+        #: Route's work buffer: the effective dists inside a border of
+        #: sentinels, so each neighbor's dist is a view of one buffer.
+        #: Views and ids are ``(height, width)``, in ascending
+        #: neighbor-id order (WEST, SOUTH, NORTH, EAST).
+        self.padded_dist = np.full(
+            (height + 2, width + 2), DIST_SENTINEL, dtype=np.int64
+        )
+        padded = self.padded_dist
+        self.neighbor_dists = (
+            padded[1:-1, :-2],
+            padded[:-2, 1:-1],
+            padded[2:, 1:-1],
+            padded[1:-1, 2:],
+        )
+        self.ids = np.arange(self.size, dtype=np.int64).reshape(height, width)
+        self.neighbor_ids = (
+            self.ids - 1,
+            self.ids - width,
+            self.ids + width,
+            self.ids + 1,
+        )
 
     # -- index mapping --------------------------------------------------
 
@@ -137,8 +164,8 @@ class EntityArrays:
 
     ``uid`` rides alongside so the packing round-trips to the object
     model. Rows are sorted by ``(cell, uid)`` — the deterministic order
-    the per-cell object iteration uses — which is also the order a
-    sharded engine would partition by.
+    the per-cell object iteration uses, and so the order in which Move
+    visits entities.
     """
 
     __slots__ = ("uid", "cell", "x", "y")
@@ -185,78 +212,59 @@ class EntityArrays:
 # ----------------------------------------------------------------------
 
 
-def _shifted(grid2d, fill):
-    """The four neighbor views of a 2-D array, in ascending neighbor-id
-    order (WEST, SOUTH, NORTH, EAST), padded with ``fill`` off-grid."""
-    west = np.full_like(grid2d, fill)
-    west[:, 1:] = grid2d[:, :-1]
-    south = np.full_like(grid2d, fill)
-    south[1:, :] = grid2d[:-1, :]
-    north = np.full_like(grid2d, fill)
-    north[:-1, :] = grid2d[1:, :]
-    east = np.full_like(grid2d, fill)
-    east[:, :-1] = grid2d[:, 1:]
-    return west, south, north, east
-
-
 def route_relax(arrays: GridArrays) -> Tuple["np.ndarray", "np.ndarray"]:
     """One whole-grid Route relaxation: ``(new_dist, new_next)``.
 
     Semantics of :func:`repro.core.route._route_step` applied to every
     cell at once: each cell takes ``1 + min`` over its neighbors'
-    *effective* dists (failed neighbors observed at the sentinel), with
-    the ``(dist, id)`` argmin tie-break realized by folding the neighbor
-    grids in ascending-identifier order with a strict ``<``. The caller
-    masks out failed cells and the target (which Route never touches).
+    *effective* dists (failed neighbors observed at the sentinel, off-grid
+    ones read from the sentinel border of ``padded_dist``), and its
+    ``next`` is the first neighbor at that minimum in ascending-identifier
+    order, the ``(dist, id)`` argmin tie-break. The caller holds failed
+    cells and the target, which Route never touches.
     """
     height, width = arrays.height, arrays.width
-    eff = np.where(arrays.failed, DIST_SENTINEL, arrays.dist).reshape(
-        height, width
-    )
-    flat_ids = np.arange(arrays.size, dtype=np.int64).reshape(height, width)
+    interior = arrays.padded_dist[1:-1, 1:-1]
+    np.copyto(interior, arrays.dist.reshape(height, width))
+    np.putmask(interior, arrays.failed.reshape(height, width), DIST_SENTINEL)
 
-    best = np.full((height, width), DIST_SENTINEL, dtype=np.int64)
-    best_next = np.full((height, width), NO_CELL, dtype=np.int64)
-    neighbor_dists = _shifted(eff, DIST_SENTINEL)
-    neighbor_ids = (flat_ids - 1, flat_ids - width, flat_ids + width, flat_ids + 1)
-    for nbr_dist, nbr_id in zip(neighbor_dists, neighbor_ids):
-        better = nbr_dist < best  # strict: earlier (smaller-id) fold wins ties
-        best = np.where(better, nbr_dist, best)
-        best_next = np.where(better, nbr_id, best_next)
+    west, south, north, east = arrays.neighbor_dists
+    best = np.minimum(west, south)
+    np.minimum(best, north, out=best)
+    np.minimum(best, east, out=best)
+    # Write the ids at the minimum from the last neighbor to the first,
+    # so the smallest id among the tied ones is left.
+    new_next = arrays.neighbor_ids[3].copy()
+    for view, ids in zip((north, south, west), arrays.neighbor_ids[2::-1]):
+        np.copyto(new_next, ids, where=view == best)
 
     unreachable = best == DIST_SENTINEL
-    new_dist = np.where(unreachable, DIST_SENTINEL, best + 1)
-    new_next = np.where(unreachable, NO_CELL, best_next)
-    return new_dist.reshape(-1), new_next.reshape(-1)
+    best += 1
+    np.putmask(best, unreachable, DIST_SENTINEL)
+    np.putmask(new_next, unreachable, NO_CELL)
+    return best.reshape(-1), new_next.reshape(-1)
 
 
 def ne_prev_masks(arrays: GridArrays):
     """Per-direction inbound-pointer masks: the array form of ``NEPrev``.
 
-    Returns four flat boolean arrays ``(west, south, north, east)`` —
-    ascending neighbor-id order — where e.g. ``east[k]`` means cell
-    ``k``'s EAST neighbor is visible (non-faulty, nonempty) and its
-    ``next`` points at ``k``. A cell's ``NEPrev`` set is exactly the
-    neighbors whose mask bit is set (Figure 5, step 1; failed cells
-    never run Signal, so their own mask rows are simply unread).
+    Returns one ``(4, size)`` boolean array whose rows are ``(west,
+    south, north, east)`` — ascending neighbor-id order — where e.g.
+    ``east[k]`` means cell ``k``'s EAST neighbor is visible (non-faulty,
+    nonempty) and its ``next`` points at ``k``; column ``k`` holds cell
+    ``k``'s four bits. A cell's ``NEPrev`` set is exactly the neighbors
+    whose bit is set (Figure 5, step 1; failed cells never run Signal,
+    so their own columns are simply unread).
     """
     height, width = arrays.height, arrays.width
-    visible = (~arrays.failed) & (arrays.member_count > 0)
-    vis2d = visible.reshape(height, width)
+    visible = ((~arrays.failed) & (arrays.member_count > 0)).reshape(height, width)
     next2d = arrays.next.reshape(height, width)
-    flat_ids = np.arange(arrays.size, dtype=np.int64).reshape(height, width)
+    ids = arrays.ids
 
-    west = np.zeros((height, width), dtype=bool)
-    west[:, 1:] = vis2d[:, :-1] & (next2d[:, :-1] == flat_ids[:, 1:])
-    south = np.zeros((height, width), dtype=bool)
-    south[1:, :] = vis2d[:-1, :] & (next2d[:-1, :] == flat_ids[1:, :])
-    north = np.zeros((height, width), dtype=bool)
-    north[:-1, :] = vis2d[1:, :] & (next2d[1:, :] == flat_ids[:-1, :])
-    east = np.zeros((height, width), dtype=bool)
-    east[:, :-1] = vis2d[:, 1:] & (next2d[:, 1:] == flat_ids[:, :-1])
-    return (
-        west.reshape(-1),
-        south.reshape(-1),
-        north.reshape(-1),
-        east.reshape(-1),
-    )
+    masks = np.zeros((4, height, width), dtype=bool)
+    west, south, north, east = masks
+    np.logical_and(visible[:, :-1], next2d[:, :-1] == ids[:, 1:], out=west[:, 1:])
+    np.logical_and(visible[:-1, :], next2d[:-1, :] == ids[1:, :], out=south[1:, :])
+    np.logical_and(visible[1:, :], next2d[1:, :] == ids[:-1, :], out=north[:-1, :])
+    np.logical_and(visible[:, 1:], next2d[:, 1:] == ids[:, :-1], out=east[:, :-1])
+    return masks.reshape(4, -1)

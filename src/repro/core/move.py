@@ -113,14 +113,15 @@ def apply_moves(
     crossing into it (``System.consumes``).
     """
     report = MovePhaseReport()
+    v, half_l = params.v, params.half_l
     pending: List[Tuple[Entity, CellId, CellId, Direction]] = []
     for cid, nxt in movers:
         state = cells[cid]
         toward = direction_between(cid, nxt)
         report.moved_cells.append(cid)
         for entity in state.entities():
-            entity.translate(toward, params.v)
-            if crossed_boundary(entity, cid, toward, params.half_l):
+            entity.translate(toward, v)
+            if crossed_boundary(entity, cid, toward, half_l):
                 pending.append((entity, cid, nxt, toward))
 
     for entity, cid, nxt, toward in pending:
@@ -131,7 +132,7 @@ def apply_moves(
                 Transfer(uid=entity.uid, src=cid, dst=nxt, consumed=True)
             )
         else:
-            entity.snap_to_entry_edge(nxt, toward, params.half_l)
+            entity.snap_to_entry_edge(nxt, toward, half_l)
             cells[nxt].add_entity(entity)
             report.transfers.append(
                 Transfer(uid=entity.uid, src=cid, dst=nxt, consumed=False)

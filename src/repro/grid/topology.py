@@ -19,20 +19,21 @@ CellId = Tuple[int, int]
 
 
 class Direction(Enum):
-    """The four lattice directions, as unit steps in identifier space."""
+    """The four lattice directions, as unit steps in identifier space.
+
+    ``di`` and ``dj`` are plain member attributes, set once when the
+    class is built, so the Move kernel reads them without a property
+    call.
+    """
 
     EAST = (1, 0)
     WEST = (-1, 0)
     NORTH = (0, 1)
     SOUTH = (0, -1)
 
-    @property
-    def di(self) -> int:
-        return self.value[0]
-
-    @property
-    def dj(self) -> int:
-        return self.value[1]
+    def __init__(self, di: int, dj: int):
+        self.di = di
+        self.dj = dj
 
     @property
     def opposite(self) -> "Direction":

@@ -89,7 +89,8 @@ class MonitorSuite:
 
     def _on_phase(self, phase: str, system: System) -> None:
         """At the Signal notification: predicate H and the Lemma 4 pairs,
-        in one pass over every cell (H violations are recorded first)."""
+        in one pass over every cell (H violations are recorded first).
+        Only a cell holding a grant is looked at further."""
         if phase != "signal":
             return
         check_h = self.check_h_predicate
@@ -100,9 +101,10 @@ class MonitorSuite:
         params = system.params
         gaps: List[SignalGapViolation] = []
         pairs: List[tuple] = []
-        for cid, state in cells.items():
+        for state in cells.values():
             if state.signal is None or state.failed:
                 continue
+            cid = state.cell_id
             if check_h:
                 gap = cell_signal_gap_violation(cid, state, params)
                 if gap is not None:
@@ -118,7 +120,8 @@ class MonitorSuite:
         """Run the post-state checks for the round just completed.
 
         Safe, Invariant 1 and Invariant 2 share one pass over every cell
-        (an empty cell cannot violate any of them). Safe and Invariant 1
+        (an empty cell cannot violate any of them, so only an occupied
+        cell is looked at further). Safe and Invariant 1
         test an occupied cell's members as they stand
         (``pairwise_axis_separated``, ``members_contained``); only a
         cell that fails is sorted (``entities()``) to report its
@@ -137,10 +140,11 @@ class MonitorSuite:
             d = system.params.d
             half_l = system.params.half_l
             seen: Dict[int, CellId] = {}
-            for cid, state in system.cells.items():
+            for state in system.cells.values():
                 members = state.members
                 if not members:
                     continue
+                cid = state.cell_id
                 if check_inv2:
                     note_members(cid, members, seen, duplicated)
                 if (

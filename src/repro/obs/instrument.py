@@ -309,12 +309,15 @@ class SimulationInstrumentation:
 
     # ------------------------------------------------------------------
 
-    def observe_round(self, system, report, decision) -> None:
+    def observe_round(self, system, report, decision, failed_cells: int) -> None:
         """Digest one round: fault decision + phase reports -> metrics/events.
 
         Called once per round, after monitors and metrics probes, with
-        the :class:`~repro.core.system.RoundReport` of the round and the
-        :class:`~repro.faults.model.FaultDecision` applied before it.
+        the :class:`~repro.core.system.RoundReport` of the round, the
+        :class:`~repro.faults.model.FaultDecision` applied before it and
+        the number of failed cells, which the fault injector keeps
+        (``LiveSplit.failed``). The gauges read no cell: the entities in
+        flight are ``total_produced - total_consumed``.
         """
         rnd = report.round_index
         if decision is not None and not decision.is_quiet:
@@ -327,8 +330,10 @@ class SimulationInstrumentation:
         if registry is not None:
             if report.produced:
                 registry.counter("source.produced").inc(len(report.produced))
-            registry.gauge("entities.in_flight").set(system.entity_count())
-            registry.gauge("cells.failed").set(len(system.failed_cells()))
+            registry.gauge("entities.in_flight").set(
+                system.total_produced - system.total_consumed
+            )
+            registry.gauge("cells.failed").set(failed_cells)
             if getattr(system, "is_multiflow", False):
                 self._observe_commodities(system, report, registry)
         if self.tracer is not None:

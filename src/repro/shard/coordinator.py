@@ -19,8 +19,10 @@ with each district's worker:
    equals the one last sent: its worker would evaluate no cell, so it
    counts as having replied with no updates (the dirty rule, lifted to
    the district).
-2. **signal**, every round: ship post-Route rim ``(next, nonempty)``
-   ghosts; workers run the core Signal loop over their pending cells
+2. **signal**, every round: ship the post-Route rim ``(next,
+   nonempty)`` ghosts that changed since the district's last signal
+   request (every one to a new worker; its rim cells keep the rest);
+   workers run the core Signal loop over their pending cells
    (mutating their own token/signal state) and return value updates
    plus their slice of the grant report; again merged row-major. A live
    cell no worker evaluated holds ``(NEPrev, token, signal) = (empty,
@@ -116,6 +118,7 @@ class _ShardHandle:
         "pending_member_sync",
         "route_quiet",
         "sent_dists",
+        "sent_ghosts",
         "cells_failed",
         "failed_by_us",
         "respawn_round",
@@ -149,6 +152,9 @@ class _ShardHandle:
         self.route_quiet: bool = False
         #: The rim dists the last route request carried, in rim order.
         self.sent_dists: Optional[List[float]] = None
+        #: The rim ``(next, nonempty)`` ghosts the worker's rim cells
+        #: hold, in rim order: those the signal requests have carried.
+        self.sent_ghosts: Optional[List[Tuple]] = None
 
 
 class ShardCoordinator:
@@ -288,13 +294,13 @@ class ShardCoordinator:
         cells = system.cells
 
         def payload(handle: _ShardHandle) -> Dict[str, Any]:
-            return {
-                "round": system.round_index,
-                "ghosts": {
-                    cid: (effective_next(cells[cid]), effective_nonempty(cells[cid]))
-                    for cid in handle.rim
-                },
-            }
+            ghosts = [
+                (effective_next(cells[cid]), effective_nonempty(cells[cid]))
+                for cid in handle.rim
+            ]
+            changed = self._changed_ghosts(handle, ghosts)
+            handle.sent_ghosts = ghosts
+            return {"round": system.round_index, "ghosts": changed}
 
         results = self._gather("signal", payload)
         wires = list(results.values())
@@ -333,6 +339,22 @@ class ShardCoordinator:
             key=lambda entry: _row_major(entry[0]),
         )
         return report
+
+    @staticmethod
+    def _changed_ghosts(
+        handle: _ShardHandle, ghosts: List[Tuple]
+    ) -> Dict[CellId, Tuple]:
+        """The rim ghosts that differ from those last sent, or all of them
+        for a new worker: its rim cells hold the rest, and a worker acts
+        only on a ghost that changed."""
+        sent = handle.sent_ghosts
+        if sent is None:
+            return dict(zip(handle.rim, ghosts))
+        return {
+            cid: ghost
+            for cid, ghost, old in zip(handle.rim, ghosts, sent)
+            if ghost != old
+        }
 
     def _stand_in_cells(self, results: Dict[int, Dict[str, Any]]) -> List[CellId]:
         """The cells of every district that did not reply this phase:

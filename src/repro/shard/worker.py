@@ -7,7 +7,8 @@ cells (entities included) and runs the core Route and Signal loops
 reference and incremental engines. It reads each out-of-district
 neighbor through a :class:`RimCell`, refreshed from the *ghost* values
 the coordinator sends (effective ``dist`` with a route request;
-effective ``next``/nonemptiness with a signal request). Move is
+effective ``next``/nonemptiness with a signal request, only for the
+rim cells where it changed). Move is
 computed by the coordinator from the merged grant report; the worker
 replays its district's slice of the outcome (translations, boundary
 transfers, produced entities), using the same IEEE float operations,
@@ -150,10 +151,10 @@ class RimCell:
 
     Holds what the coordinator's ghosts carry: the neighbor's effective
     ``dist`` (refreshed before Route) and its effective ``next`` and
-    nonemptiness (refreshed before Signal). A failed neighbor arrives
-    masked (``dist = inf``, ``next = bot``, empty), so a rim cell is
-    never failed; ``members`` is the nonemptiness flag, which is all
-    :func:`~repro.core.signal.compute_ne_prev` reads of it.
+    nonemptiness (refreshed before Signal when they changed). A failed
+    neighbor arrives masked (``dist = inf``, ``next = bot``, empty), so a
+    rim cell is never failed; ``members`` is the nonemptiness flag, which
+    is all :func:`~repro.core.signal.compute_ne_prev` reads of it.
     """
 
     __slots__ = ("cell_id", "dist", "next_id", "members")
@@ -239,7 +240,8 @@ class DistrictWorker(DirtyCells):
             cells[cid].dist = dist
 
     def _refresh_rim_signal(self, ghosts: Dict[CellId, Tuple]) -> None:
-        """The rim cells take this round's post-Route ``(next, nonempty)``."""
+        """The rim cells named take this round's post-Route ``(next,
+        nonempty)``; the others hold theirs."""
         cells = self.cells
         for cid, (next_id, nonempty) in ghosts.items():
             rim = cells[cid]

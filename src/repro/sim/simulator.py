@@ -65,7 +65,9 @@ class Simulator:
         self.rounds = rounds
         self.warmup = warmup
         self.injector = injector or FaultInjector(NoFaults())
-        self.injector.split(system)  # note the target before any relocation
+        # Note the target before any relocation; the split's failed list
+        # is also the ``cells.failed`` gauge.
+        self._split = self.injector.split(system)
         self.monitors = monitors
         if self.monitors is not None:
             self.monitors.attach(system)
@@ -122,7 +124,9 @@ class Simulator:
         self.occupancy.observe(self.system, report)
         self.tracker.observe(report)
         if self.obs is not None:
-            self.obs.observe_round(self.system, report, decision)
+            self.obs.observe_round(
+                self.system, report, decision, len(self._split.failed)
+            )
         self.profiler.end_round()
         return report
 

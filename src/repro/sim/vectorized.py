@@ -5,8 +5,9 @@ whole-grid numpy operations (:mod:`repro.core.arrays`) instead of
 per-cell Python sweeps:
 
 * **Route** is one :func:`~repro.core.arrays.route_relax` call — the
-  Jacobi simultaneous ``1 + min`` with the exact ``(dist, id)`` argmin —
-  followed by a write-back of only the changed cells.
+  Jacobi simultaneous ``1 + min`` with the exact ``(dist, id)`` argmin,
+  over one sentinel-padded dist buffer — followed by a write-back of
+  only the changed cells.
 * **Signal** reads the per-direction ``NEPrev`` masks
   (:func:`~repro.core.arrays.ne_prev_masks`) and evaluates only *active*
   cells: those with an inbound pointer or a live token/signal. Skipping
@@ -15,9 +16,13 @@ per-cell Python sweeps:
   bot)`` and its fresh evaluation would be a no-op consuming no policy
   randomness. Each active cell runs the shared per-cell Signal step
   (:func:`~repro.core.signal._signal_step`) with the one gap rule,
-  :func:`~repro.core.signal.gap_clear`.
+  :func:`~repro.core.signal.gap_clear`; the active cells' mask bits are
+  read as one list, and their ``token``/``signal`` mirrors written back
+  once a round.
 * **Move** derives movers from the round's grant report, exactly like
-  the incremental engine.
+  the incremental engine; ``member_count`` follows the transfers in one
+  subtraction and one addition, and the produced entities in one more
+  addition.
 
 The :class:`~repro.core.cell.CellState` objects remain the source of
 truth — every phase writes its changes back *before* the phase
@@ -112,23 +117,21 @@ class VectorizedEngine(RoundEngine):
         new_dist, new_next = route_relax(arrays)
         # Route never touches failed cells or the target (read each
         # round: ``System.relocate_target`` may have moved it).
-        hold = arrays.failed.copy()
-        hold[arrays.flat(self.system.tid)] = True
-        new_dist = np.where(hold, arrays.dist, new_dist)
-        new_next = np.where(hold, arrays.next, new_next)
+        np.copyto(new_dist, arrays.dist, where=arrays.failed)
+        np.copyto(new_next, arrays.next, where=arrays.failed)
+        target = arrays.flat(self.system.tid)
+        new_dist[target] = arrays.dist[target]
+        new_next[target] = arrays.next[target]
 
         report = RoutePhaseReport()
-        changed_dist = np.nonzero(new_dist != arrays.dist)[0]
-        changed_next = np.nonzero(new_next != arrays.next)[0]
+        changed_dist = np.flatnonzero(new_dist != arrays.dist)
+        changed_next = np.flatnonzero(new_next != arrays.next)
         cell_ids = self._cell_ids
         states = self._states
-        for k in changed_dist:
-            k = int(k)
-            states[k].dist = dist_from_int(int(new_dist[k]))
+        for k, value in zip(changed_dist.tolist(), new_dist[changed_dist].tolist()):
+            states[k].dist = dist_from_int(value)
             report.changed_dist.append(cell_ids[k])
-        for k in changed_next:
-            k = int(k)
-            encoded = int(new_next[k])
+        for k, encoded in zip(changed_next.tolist(), new_next[changed_next].tolist()):
             states[k].next_id = None if encoded == NO_CELL else cell_ids[encoded]
             report.changed_next.append(cell_ids[k])
         arrays.dist = new_dist
@@ -144,15 +147,17 @@ class VectorizedEngine(RoundEngine):
         cell provably satisfies ``(NEPrev, token, signal) = (empty, bot,
         bot)``, for which the Signal function is a no-op that consumes
         no policy randomness (the token-policy contract) — skipping it
-        is byte-exact.
+        is byte-exact. The active cells' mask bits are read as one list
+        and their new ``token``/``signal`` written back once.
         """
         arrays = self.arrays
         system = self.system
-        west, south, north, east = ne_prev_masks(arrays)
-        active = (west | south | north | east) | (
-            (arrays.token != NO_CELL) | (arrays.signal != NO_CELL)
-        )
+        masks = ne_prev_masks(arrays)
+        active = masks.any(axis=0)
+        active |= arrays.token != NO_CELL
+        active |= arrays.signal != NO_CELL
         active &= ~arrays.failed
+        active_ks = np.flatnonzero(active)
 
         report = SignalPhaseReport()
         cell_ids = self._cell_ids
@@ -160,37 +165,46 @@ class VectorizedEngine(RoundEngine):
         width = arrays.width
         params = system.params
         policy = system.token_policy
-        for k in np.nonzero(active)[0]:
-            k = int(k)
+        ref = arrays.ref
+        tokens: List[int] = []
+        signals: List[int] = []
+        for k, (west, south, north, east) in zip(
+            active_ks.tolist(), masks[:, active_ks].T.tolist()
+        ):
             ne_prev = set()
-            if west[k]:
+            if west:
                 ne_prev.add(cell_ids[k - 1])
-            if south[k]:
+            if south:
                 ne_prev.add(cell_ids[k - width])
-            if north[k]:
+            if north:
                 ne_prev.add(cell_ids[k + width])
-            if east[k]:
+            if east:
                 ne_prev.add(cell_ids[k + 1])
             state = states[k]
             _signal_step(state, ne_prev, params, policy, report)
-            arrays.token[k] = arrays.ref(state.token)
-            arrays.signal[k] = arrays.ref(state.signal)
+            tokens.append(ref(state.token))
+            signals.append(ref(state.signal))
+        arrays.token[active_ks] = tokens
+        arrays.signal[active_ks] = signals
         return report
 
     def _move_phase(self, signal_report: SignalPhaseReport) -> MovePhaseReport:
-        """Move derived from this round's grants (``movers_from_grants``)."""
+        """Move derived from this round's grants (``movers_from_grants``);
+        the member counts follow the transfers in one subtraction and one
+        addition."""
         report = self.system.move_cells(movers_from_grants(signal_report.granted))
-        member_count = self.arrays.member_count
-        flat = self.arrays.flat
-        for transfer in report.transfers:
-            member_count[flat(transfer.src)] -= 1
-            if not transfer.consumed:
-                member_count[flat(transfer.dst)] += 1
+        transfers = report.transfers
+        if transfers:
+            flat = self.arrays.flat
+            member_count = self.arrays.member_count
+            np.subtract.at(member_count, [flat(t.src) for t in transfers], 1)
+            entered = [flat(t.dst) for t in transfers if not t.consumed]
+            if entered:
+                np.add.at(member_count, entered, 1)
         return report
 
     def _on_produced(self, produced) -> None:
-        """Count fresh entities at their source cells."""
-        member_count = self.arrays.member_count
-        flat = self.arrays.flat
-        for entity in produced:
-            member_count[flat(entity.cell)] += 1
+        """Count fresh entities at their source cells, in one addition."""
+        if produced:
+            flat = self.arrays.flat
+            np.add.at(self.arrays.member_count, [flat(e.cell) for e in produced], 1)

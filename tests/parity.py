@@ -17,6 +17,9 @@ source trees can be compared round by round:
   detail, in order) at the end: ``random_multiflow_config`` seeds 0-39 with and without
   faults, ``benchmarks/bench_multiflow.py``'s three crossings, the
   multi-commodity corpus scenarios, and ``random_config`` seeds 0-25;
+* the ``vectorized`` engine, digested the same way: ``random_config``
+  seeds 0-25, and the benchmark's city-96 workload (a 96x96 grid, four
+  eager edge sources, light churn) at seed 7 for 150 rounds;
 * the two baselines, which no lockstep compares to anything:
   ``UnsafeSystem`` and ``CentralizedSystem`` (reliable and flaky
   coordinator) on churned open grids, digested the same way;
@@ -295,6 +298,31 @@ def engine_runs() -> Dict[str, Dict]:
     }
 
 
+#: The benchmark's city-96 workload, written out here so this check
+#: does not import the benchmark.
+CITY_96 = SimulationConfig(
+    grid_width=96,
+    params=Parameters(l=0.2, rs=0.05, v=0.2),
+    rounds=150,
+    tid=(48, 48),
+    sources=((48, 0), (0, 48), (95, 48), (48, 95)),
+    source_policy="eager",
+    fault=FaultSpec(pf=0.0005, pr=0.05, protect_target=True),
+    seed=7,
+    monitors=True,
+    engine="vectorized",
+)
+
+
+def vectorized_runs() -> Dict[str, Dict]:
+    configs = {f"single/{seed}": random_config(seed) for seed in range(26)}
+    configs["city-96/7"] = CITY_96
+    return {
+        f"{name}/vectorized": _engine_run(config, "vectorized")
+        for name, config in configs.items()
+    }
+
+
 def baseline_runs() -> Dict[str, Dict]:
     baselines = {
         "unsafe": UnsafeSystem,
@@ -390,6 +418,7 @@ SECTIONS = (
     "netsim_oracle",
     "lossy",
     "engines",
+    "vectorized",
     "baselines",
     "relocations",
     "deaths",
@@ -402,6 +431,7 @@ def dump(out: Path) -> None:
         "netsim_oracle": network_oracle_legs(),
         "lossy": lossy_runs(),
         "engines": engine_runs(),
+        "vectorized": vectorized_runs(),
         "baselines": baseline_runs(),
         "relocations": relocation_runs(),
         "deaths": death_runs(),
@@ -422,7 +452,7 @@ def dump(out: Path) -> None:
         f"engine runs: {len(engines)} ({len(multiflow)} multi-commodity), "
         f"monitor violations: {sum(run['violations'] for run in engines.values())}"
     )
-    for section in ("baselines", "relocations", "deaths"):
+    for section in ("vectorized", "baselines", "relocations", "deaths"):
         for name, run in sorted(record[section].items()):
             print(
                 f"{section}/{name}: consumed {run['consumed']}, "

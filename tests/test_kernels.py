@@ -8,13 +8,16 @@ within a few ``EPS`` of each bound and compare every verdict with the
 form the kernel replaces: the per-member ``tol_le`` / ``tol_ge`` gap
 test, ``axis_separated`` per pair, the monitors' generators over
 ``entities()``, a brute-force ``(dist, id)`` argmin, and the
-``effective_*`` reading of ``NEPrev``. A kernel whose bound carries the
-wrong sign of ``EPS`` gives a different verdict on a point exactly at
-the bound, so each boundary property fails on that mutant.
+``effective_*`` reading of ``NEPrev``, and ``strictly_greater`` /
+``strictly_less`` on ``Entity.translate``'s coordinates for Move. A
+kernel whose bound carries the wrong sign of ``EPS`` gives a different
+verdict on a point exactly at the bound, so each boundary property fails
+on that mutant.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.cell import (
@@ -25,7 +28,7 @@ from repro.core.cell import (
     effective_nonempty,
 )
 from repro.core.entity import Entity
-from repro.core.move import MovePhaseReport
+from repro.core.move import MovePhaseReport, apply_moves
 from repro.core.params import Parameters
 from repro.core.route import RoutePhaseReport, _route_step
 from repro.core.signal import SignalPhaseReport, compute_ne_prev, gap_clear
@@ -36,7 +39,13 @@ from repro.geometry.separation import (
     fits_among,
     pairwise_axis_separated,
 )
-from repro.geometry.tolerance import EPS, tol_ge, tol_le
+from repro.geometry.tolerance import (
+    EPS,
+    strictly_greater,
+    strictly_less,
+    tol_ge,
+    tol_le,
+)
 from repro.grid.topology import DIRECTIONS, Direction, Grid
 from repro.monitors.invariants import cell_containment_violations, members_contained
 from repro.monitors.recorder import MonitorSuite
@@ -105,6 +114,87 @@ def gap_cells(draw):
 def test_gap_clear_matches_the_per_member_form(state):
     for toward in DIRECTIONS:
         assert gap_clear(state, toward, PARAMS) == literal_gap(state, toward, PARAMS)
+
+
+# ----------------------------------------------------------------------
+# apply_moves
+# ----------------------------------------------------------------------
+
+
+def literal_crossed(entity: Entity, cid, toward: Direction) -> bool:
+    """The paper's lines 6-7 on a moved entity: its leading edge strictly
+    past the wall, through ``strictly_greater`` / ``strictly_less``.
+    Written out rather than calling ``crossed_boundary``, so a wrong bound
+    there disagrees with it."""
+    i, j = cid
+    if toward is Direction.EAST:
+        return strictly_greater(entity.x + HALF, i + 1)
+    if toward is Direction.WEST:
+        return strictly_less(entity.x - HALF, i)
+    if toward is Direction.NORTH:
+        return strictly_greater(entity.y + HALF, j + 1)
+    return strictly_less(entity.y - HALF, j)
+
+
+def _before_move(cid, toward: Direction, offset: float, across: float):
+    """The center from which one move of ``v`` toward ``toward`` leaves
+    the leading edge ``offset`` past the wall (up to rounding);
+    ``across`` is the cell-relative perpendicular coordinate."""
+    i, j = cid
+    if toward is Direction.EAST:
+        return i + 1 - HALF + offset - PARAMS.v, j + across
+    if toward is Direction.WEST:
+        return i + HALF - offset + PARAMS.v, j + across
+    if toward is Direction.NORTH:
+        return i + across, j + 1 - HALF + offset - PARAMS.v
+    return i + across, j + HALF - offset + PARAMS.v
+
+
+PLACEMENTS = st.lists(
+    st.tuples(OFFSETS, st.floats(min_value=HALF, max_value=1 - HALF)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@pytest.mark.parametrize("toward", DIRECTIONS, ids=lambda d: d.name)
+@given(
+    cid=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    placements=PLACEMENTS,
+)
+@example(cid=(2, 3), placements=[(0.0, 0.5), (EPS / 2, 0.3), (-EPS / 2, 0.7)])
+@example(cid=(1, 1), placements=[(EPS, 0.5), (-EPS, 0.5), (2 * EPS, 0.4)])
+@SEEDED
+def test_move_transfers_exactly_when_the_strict_comparison_says(
+    toward, cid, placements
+):
+    """A mover's entities take ``Entity.translate``'s coordinates bit for
+    bit, and each one leaves the cell exactly when its moved leading edge
+    is strictly past the wall."""
+    grid = Grid(6)
+    nxt = toward.step(cid)
+    cells = {c: CellState(cell_id=c) for c in (cid, nxt)}
+    expected = {}
+    for uid, (offset, across) in enumerate(placements):
+        x, y = _before_move(cid, toward, offset, across)
+        entity = Entity(uid=uid, x=x, y=y)
+        cells[cid].members[uid] = entity
+        twin = entity.clone()
+        twin.translate(toward, PARAMS.v)
+        expected[uid] = (twin, literal_crossed(twin, cid, toward))
+
+    report = apply_moves(grid, cells, PARAMS, lambda e, dst: False, [(cid, nxt)])
+
+    crossed = sorted(uid for uid, (_, out) in expected.items() if out)
+    assert [t.uid for t in report.transfers] == crossed
+    assert sorted(cells[nxt].members) == crossed
+    for uid, (twin, out) in expected.items():
+        entity = cells[nxt if out else cid].members[uid]
+        if out:  # snapped onto the entry edge; the other axis is as moved
+            kept, twin_kept = (entity.y, twin.y) if toward.di else (entity.x, twin.x)
+            assert kept.hex() == twin_kept.hex()
+        else:
+            assert (entity.x.hex(), entity.y.hex()) == (twin.x.hex(), twin.y.hex())
 
 
 # ----------------------------------------------------------------------

@@ -37,8 +37,9 @@ from repro.obs import (
     summarize_events,
 )
 from repro.obs.metrics import DEFAULT_BUCKETS
-from repro.sim.config import SimulationConfig
+from repro.sim.config import FaultSpec, SimulationConfig
 from repro.sim.simulator import build_simulation
+from repro.sim.stepper import ResumableStepper
 from repro.sim.supervisor import RetryPolicy, SweepSupervisor
 from repro.sim.sweep import Sweep
 
@@ -274,6 +275,54 @@ class TestInstrumentation:
             simulator.summarize().metrics["counters"]["trace.events"]
             == simulator.obs.tracer.total_events
         )
+
+    @pytest.mark.parametrize("engine", ["reference", "incremental", "sharded"])
+    def test_gauges_equal_the_whole_grid_counts(self, engine):
+        """``entities.in_flight`` and ``cells.failed`` scan no cell, yet
+        equal the grid's counts after every round: through churn, serve
+        ``arrive``s (entities seeded between rounds), a target relocation
+        and, on two shards, a worker killed, its district failed and
+        healed."""
+        config = SimulationConfig(
+            grid_width=8,
+            params=PARAMS,
+            rounds=90,
+            tid=(6, 6),
+            sources=((0, 0), (0, 7)),
+            fault=FaultSpec(pf=0.02, pr=0.3),
+            seed=2,
+            shards=2,
+        )
+        stepper = ResumableStepper(
+            config, observability=ObservabilityConfig(metrics=True), engine=engine
+        )
+        simulator = stepper.simulator
+        if engine == "sharded":
+            simulator.engine.chaos = {
+                1: {"phase": "signal", "round": 30, "action": "kill"}
+            }
+        registry = simulator.obs.registry
+        system = simulator.system
+        arrived = 0
+        for round_index in range(config.rounds):
+            if round_index % 10 == 5:
+                arrived += stepper.arrive((3, 0)) is not None
+            if round_index == 45:
+                system.recover((5, 4))  # a no-op unless churn failed it
+                stepper.relocate_target((5, 4))
+            stepper.step()
+            assert registry.gauge("entities.in_flight").value == (
+                system.entity_count()
+            ), round_index
+            assert registry.gauge("cells.failed").value == len(
+                system.failed_cells()
+            ), round_index
+        simulator.engine.close()
+        assert arrived > 0
+        assert system.tid == (5, 4)
+        if engine == "sharded":
+            events = [entry["event"] for entry in simulator.engine.healing_log]
+            assert {"death", "district-failed", "heal"} <= set(events)
 
 
 # ----------------------------------------------------------------------

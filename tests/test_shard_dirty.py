@@ -9,8 +9,9 @@ worker whose last reply said its Route-dirty set is empty, while no
 event is queued for it and its rim dists are unchanged. A dropped rule
 does not crash anything: it leaves a cell stale, and the round drifts
 from the reference. These tests plant each worker-side rule's removal,
-rim cells that are never refreshed, and each way of skipping a route
-request that was needed, and require the lockstep to notice.
+rim cells that are never refreshed, each way of skipping a route
+request that was needed, and a signal request that leaves out a rim
+ghost that changed, and require the lockstep to notice.
 
 Worker processes cannot be monkeypatched, so the fleet here runs in the
 test process: ``ShardCoordinator._open_channel`` is replaced by one
@@ -323,5 +324,36 @@ def test_needed_route_request_skipped_is_caught(monkeypatch, skips):
     monkeypatch.setattr(ShardCoordinator, "_skips_route", staticmethod(skips))
     caught = [seed for seed in SEEDS if first_divergence(seed) is not None]
     assert caught == list(SEEDS), f"{skips.__name__} passed seeds " + str(
+        sorted(set(SEEDS) - set(caught))
+    )
+
+
+# ----------------------------------------------------------------------
+# Mutant: the coordinator leaves out a Signal ghost that changed
+# ----------------------------------------------------------------------
+
+_CHANGED_GHOSTS = ShardCoordinator._changed_ghosts
+
+
+def _leaves_out_one_changed_ghost(handle, ghosts):
+    """MUTANT: each signal request to a running worker leaves out the
+    first rim ghost that changed, so that rim cell keeps a stale
+    ``(next, nonempty)`` and its district neighbor's ``NEPrev`` is
+    wrong."""
+    changed = _CHANGED_GHOSTS(handle, ghosts)
+    if handle.sent_ghosts is not None and changed:
+        del changed[next(iter(changed))]
+    return changed
+
+
+def test_changed_ghost_left_out_is_caught(monkeypatch):
+    use_in_process_fleet(monkeypatch)
+    monkeypatch.setattr(
+        ShardCoordinator,
+        "_changed_ghosts",
+        staticmethod(_leaves_out_one_changed_ghost),
+    )
+    caught = [seed for seed in SEEDS if first_divergence(seed) is not None]
+    assert caught == list(SEEDS), "passed seeds " + str(
         sorted(set(SEEDS) - set(caught))
     )
